@@ -65,11 +65,19 @@ explain-smoke:
 # rolled through `rolagc -emit asm`, require nonzero measured .text
 # bytes, and require the measured size delta to agree in sign with the
 # binary cost model's claimed direction (the calibration gate's sign
-# contract, re-checked on the real examples).
+# contract, re-checked on the real examples). When a system assembler
+# is on PATH, both listings must also assemble without error.
 asm-smoke:
 	$(GO) build -o $(or $(TMPDIR),/tmp)/rolagc-smoke ./cmd/rolagc
 	@set -e; for f in examples/c/*.c; do \
 		echo "asm-smoke: $$f"; \
+		if command -v as >/dev/null 2>&1; then \
+			for o in none rolag; do \
+				$(or $(TMPDIR),/tmp)/rolagc-smoke -opt $$o -emit asm $$f 2>/dev/null >$(or $(TMPDIR),/tmp)/rolagc-smoke.s; \
+				as --64 -o /dev/null $(or $(TMPDIR),/tmp)/rolagc-smoke.s \
+					|| { echo "asm-smoke: $$f opt=$$o: assembler error"; exit 1; }; \
+			done; \
+		fi; \
 		none=$$($(or $(TMPDIR),/tmp)/rolagc-smoke -opt none -emit asm $$f 2>&1 >/dev/null); \
 		roll=$$($(or $(TMPDIR),/tmp)/rolagc-smoke -opt rolag -emit asm $$f 2>&1 >/dev/null); \
 		mn=$$(printf '%s\n' "$$none" | sed -n 's/^text: \([0-9]*\) bytes.*/\1/p'); \

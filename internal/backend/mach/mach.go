@@ -341,6 +341,19 @@ func (m *Module) RodataSize() int64 {
 	return off
 }
 
+// RodataImage returns the .rodata section's bytes as the encoder lays
+// them out: every symbol's data at its declared alignment, with zero
+// padding in between. Its length is RodataSize.
+func (m *Module) RodataImage() []byte {
+	out := make([]byte, 0, m.RodataSize())
+	for _, s := range m.Rodata {
+		pad := alignUp(int64(len(out)), s.Align) - int64(len(out))
+		out = append(out, make([]byte, pad)...)
+		out = append(out, s.Data...)
+	}
+	return out
+}
+
 func alignUp(n, a int64) int64 {
 	if a <= 1 {
 		return n

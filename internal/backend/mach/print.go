@@ -2,6 +2,7 @@ package mach
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 )
 
@@ -264,10 +265,12 @@ func (p *printer) gprOrXmm(o Operand, gprSz int8) string {
 
 // Print renders the module as GNU-as-compatible AT&T assembly. ann, if
 // non-nil, maps function names to encoded .text byte counts emitted as
-// comments (comments never change what the assembler produces).
+// comments (comments never change what the assembler produces). The
+// output does not depend on the module's name, so two compilations that
+// differ only in name print identically.
 func Print(m *Module, ann map[string]int64) string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "# module %s — x86-64 AT&T syntax (rolag backend)\n", m.Name)
+	b.WriteString("# x86-64 AT&T syntax (rolag backend)\n")
 	b.WriteString("\t.text\n")
 	for _, f := range m.Funcs {
 		p := &printer{b: &b, f: f}
@@ -298,21 +301,58 @@ func Print(m *Module, ann map[string]int64) string {
 				fmt.Fprintf(&b, "\t.balign\t%d\n", s.Align)
 			}
 			fmt.Fprintf(&b, "%s:\n", sanitizeLabel(s.Name))
-			for i := 0; i < len(s.Data); i += 16 {
-				end := i + 16
-				if end > len(s.Data) {
-					end = len(s.Data)
-				}
-				b.WriteString("\t.byte\t")
-				for j := i; j < end; j++ {
-					if j > i {
-						b.WriteString(", ")
-					}
-					fmt.Fprintf(&b, "0x%02x", s.Data[j])
-				}
-				b.WriteByte('\n')
-			}
+			printData(&b, s.Data)
 		}
 	}
 	return b.String()
+}
+
+// minZeroRun is the shortest run of zero bytes inside a symbol that
+// prints as one .zero directive instead of .byte lines.
+const minZeroRun = 16
+
+// printData writes a symbol's bytes. A wholly zero symbol, and every
+// run of at least minZeroRun zero bytes inside one, prints as a single
+// ".zero N"; the remaining bytes print as .byte lines of up to 16.
+func printData(b *strings.Builder, data []byte) {
+	lit := 0 // start of the bytes not yet printed
+	for i := 0; i < len(data); {
+		if data[i] != 0 {
+			i++
+			continue
+		}
+		j := i
+		for j < len(data) && data[j] == 0 {
+			j++
+		}
+		if j-i >= minZeroRun || (i == 0 && j == len(data)) {
+			printBytes(b, data[lit:i])
+			b.WriteString("\t.zero\t")
+			b.WriteString(strconv.Itoa(j - i))
+			b.WriteByte('\n')
+			lit = j
+		}
+		i = j
+	}
+	printBytes(b, data[lit:])
+}
+
+const hexDigits = "0123456789abcdef"
+
+// printBytes writes data as .byte lines of up to 16 hex bytes each.
+func printBytes(b *strings.Builder, data []byte) {
+	for len(data) > 0 {
+		n := min(len(data), 16)
+		b.WriteString("\t.byte\t")
+		for j, v := range data[:n] {
+			if j > 0 {
+				b.WriteString(", ")
+			}
+			b.WriteString("0x")
+			b.WriteByte(hexDigits[v>>4])
+			b.WriteByte(hexDigits[v&15])
+		}
+		b.WriteByte('\n')
+		data = data[n:]
+	}
 }

@@ -141,47 +141,71 @@ func TestDaemonSnapshotEndpoint(t *testing.T) {
 	}
 }
 
-// TestDaemonRejectsTamperedSnapshot corrupts the saved file and pins
-// the cold-but-alive restart: rejected counter up, no entries, daemon
+// TestDaemonRejectsTamperedSnapshot damages the saved file — a flipped
+// bit, or a header stamped with the previous cache-key version (v3,
+// whose entries hold assembly in the old format) — and pins the
+// cold-but-alive restart: rejected counter up, no entries, daemon
 // serving, and the rejected series visible on /metrics.
 func TestDaemonRejectsTamperedSnapshot(t *testing.T) {
-	path := t.TempDir() + "/shard.snapshot"
-	d1, srv1 := snapshotDaemon(t, path)
-	compileSources(t, srv1, []string{"int h(int x) { return x + 2; }"})
-	if err := d1.Close(context.Background()); err != nil {
-		t.Fatal(err)
+	damages := map[string]func(t *testing.T, raw []byte) []byte{
+		"bit-flip": func(t *testing.T, raw []byte) []byte {
+			raw[len(raw)/2] ^= 0x20
+			return raw
+		},
+		"previous-cache-key-version": func(t *testing.T, raw []byte) []byte {
+			hdr, rest, _ := strings.Cut(string(raw), "\n")
+			var h map[string]any
+			if err := json.Unmarshal([]byte(hdr), &h); err != nil {
+				t.Fatal(err)
+			}
+			h["cacheKey"] = "v3"
+			nh, err := json.Marshal(h)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return []byte(string(nh) + "\n" + rest)
+		},
 	}
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	raw[len(raw)/2] ^= 0x20
-	if err := os.WriteFile(path, raw, 0o644); err != nil {
-		t.Fatal(err)
-	}
+	for name, damage := range damages {
+		t.Run(name, func(t *testing.T) {
+			path := t.TempDir() + "/shard.snapshot"
+			d1, srv1 := snapshotDaemon(t, path)
+			compileSources(t, srv1, []string{"int h(int x) { return x + 2; }"})
+			if err := d1.Close(context.Background()); err != nil {
+				t.Fatal(err)
+			}
+			raw, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(path, damage(t, raw), 0o644); err != nil {
+				t.Fatal(err)
+			}
 
-	d2, srv2 := snapshotDaemon(t, path)
-	defer d2.Close(context.Background())
-	m := d2.Engine().Metrics()
-	if m.SnapshotRejected != 1 || m.SnapshotEntries != 0 || m.CacheEntries != 0 {
-		t.Fatalf("rejected=%d entries=%d cache=%d, want 1/0/0",
-			m.SnapshotRejected, m.SnapshotEntries, m.CacheEntries)
-	}
-	out := compileSources(t, srv2, []string{"int h(int x) { return x + 2; }"})
-	if out[0].CacheHit {
-		t.Fatal("cache hit on what must be a cold start")
-	}
+			d2, srv2 := snapshotDaemon(t, path)
+			defer d2.Close(context.Background())
+			m := d2.Engine().Metrics()
+			if m.SnapshotRejected != 1 || m.SnapshotEntries != 0 || m.CacheEntries != 0 {
+				t.Fatalf("rejected=%d entries=%d cache=%d, want 1/0/0",
+					m.SnapshotRejected, m.SnapshotEntries, m.CacheEntries)
+			}
+			out := compileSources(t, srv2, []string{"int h(int x) { return x + 2; }"})
+			if out[0].CacheHit {
+				t.Fatal("cache hit on what must be a cold start")
+			}
 
-	mresp, err := http.Get(srv2.URL + "/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer mresp.Body.Close()
-	text, err := io.ReadAll(mresp.Body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(string(text), "rolagd_snapshot_rejected_total 1") {
-		t.Fatal("rolagd_snapshot_rejected_total not exported")
+			mresp, err := http.Get(srv2.URL + "/metrics")
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer mresp.Body.Close()
+			text, err := io.ReadAll(mresp.Body)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !strings.Contains(string(text), "rolagd_snapshot_rejected_total 1") {
+				t.Fatal("rolagd_snapshot_rejected_total not exported")
+			}
+		})
 	}
 }

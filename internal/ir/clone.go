@@ -5,8 +5,10 @@ package ir
 // identities are fresh; references to globals and callees are preserved.
 func CloneFunc(f *Func, m *Module, name string) *Func {
 	params := make([]*Param, len(f.Params))
+	pmap := make(map[*Param]*Param, len(f.Params))
 	for i, p := range f.Params {
 		params[i] = &Param{Name: p.Name, Typ: p.Typ}
+		pmap[p] = params[i]
 	}
 	nf := m.NewFunc(name, f.Sig.Ret, params...)
 	nf.ReadOnly = f.ReadOnly
@@ -14,54 +16,7 @@ func CloneFunc(f *Func, m *Module, name string) *Func {
 		nf.Blocks = nil
 		return nf
 	}
-
-	vmap := make(map[Value]Value)
-	for i, p := range f.Params {
-		vmap[p] = params[i]
-	}
-	bmap := make(map[*Block]*Block, len(f.Blocks))
-	for _, b := range f.Blocks {
-		nb := &Block{Name: b.Name, Parent: nf}
-		nf.Blocks = append(nf.Blocks, nb)
-		bmap[b] = nb
-	}
-	// First pass: clone instructions without operands so that forward
-	// references (phis) resolve.
-	for _, b := range f.Blocks {
-		nb := bmap[b]
-		for _, in := range b.Instrs {
-			ni := &Instr{
-				Name:   in.Name,
-				Op:     in.Op,
-				Typ:    in.Typ,
-				Pred:   in.Pred,
-				Callee: in.Callee,
-				Alloc:  in.Alloc,
-				Parent: nb,
-			}
-			nb.Instrs = append(nb.Instrs, ni)
-			vmap[in] = ni
-		}
-	}
-	// Second pass: fill operands and block references.
-	for _, b := range f.Blocks {
-		nb := bmap[b]
-		for ii, in := range b.Instrs {
-			ni := nb.Instrs[ii]
-			if len(in.Operands) > 0 {
-				ni.Operands = make([]Value, len(in.Operands))
-				for oi, op := range in.Operands {
-					ni.Operands[oi] = mapValue(op, vmap)
-				}
-			}
-			if len(in.Blocks) > 0 {
-				ni.Blocks = make([]*Block, len(in.Blocks))
-				for bi, tb := range in.Blocks {
-					ni.Blocks[bi] = bmap[tb]
-				}
-			}
-		}
-	}
+	nf.Blocks = cloneBody(f, nf, pmap)
 	return nf
 }
 
@@ -69,19 +24,40 @@ func CloneFunc(f *Func, m *Module, name string) *Func {
 // f's own parameters, globals and callees. Swapping f.Blocks with the
 // returned slice restores (or snapshots) the body — used by
 // transformations that must be rolled back when not profitable.
-func CloneBlocks(f *Func) []*Block {
-	vmap := make(map[Value]Value)
-	bmap := make(map[*Block]*Block, len(f.Blocks))
-	out := make([]*Block, 0, len(f.Blocks))
+func CloneBlocks(f *Func) []*Block { return cloneBody(f, f, nil) }
+
+// cloneBody deep-copies f's blocks into blocks whose Parent is owner.
+// Operands naming f's own instructions and blocks refer to the copies,
+// parameters are mapped through pmap (nil keeps them), and every other
+// value is shared. The copies are carved from a few slabs rather than
+// allocated one by one; each operand and target slice is capped at its
+// length, so growing one never writes into its neighbour.
+func cloneBody(f, owner *Func, pmap map[*Param]*Param) []*Block {
+	nInstrs, nOps, nTargets := 0, 0, 0
 	for _, b := range f.Blocks {
-		nb := &Block{Name: b.Name, Parent: f}
-		out = append(out, nb)
-		bmap[b] = nb
-	}
-	for bi, b := range f.Blocks {
-		nb := out[bi]
+		nInstrs += len(b.Instrs)
 		for _, in := range b.Instrs {
-			ni := &Instr{
+			nOps += len(in.Operands)
+			nTargets += len(in.Blocks)
+		}
+	}
+	blocks := make([]Block, len(f.Blocks))
+	out := make([]*Block, len(f.Blocks))
+	bmap := make(map[*Block]*Block, len(f.Blocks))
+	instrs := make([]Instr, nInstrs)
+	ptrs := make([]*Instr, nInstrs)
+	imap := make(map[*Instr]*Instr, nInstrs)
+	for bi, b := range f.Blocks {
+		nb := &blocks[bi]
+		nb.Name, nb.Parent = b.Name, owner
+		nb.Instrs = ptrs[:len(b.Instrs):len(b.Instrs)]
+		ptrs = ptrs[len(b.Instrs):]
+		out[bi] = nb
+		bmap[b] = nb
+		for ii, in := range b.Instrs {
+			ni := &instrs[0]
+			instrs = instrs[1:]
+			*ni = Instr{
 				Name:   in.Name,
 				Op:     in.Op,
 				Typ:    in.Typ,
@@ -90,24 +66,35 @@ func CloneBlocks(f *Func) []*Block {
 				Alloc:  in.Alloc,
 				Parent: nb,
 			}
-			nb.Instrs = append(nb.Instrs, ni)
-			vmap[in] = ni
+			nb.Instrs[ii] = ni
+			imap[in] = ni
 		}
 	}
+	ops := make([]Value, nOps)
+	targets := make([]*Block, nTargets)
 	for bi, b := range f.Blocks {
-		nb := out[bi]
 		for ii, in := range b.Instrs {
-			ni := nb.Instrs[ii]
-			if len(in.Operands) > 0 {
-				ni.Operands = make([]Value, len(in.Operands))
+			ni := out[bi].Instrs[ii]
+			if n := len(in.Operands); n > 0 {
+				ni.Operands, ops = ops[:n:n], ops[n:]
 				for oi, op := range in.Operands {
-					ni.Operands[oi] = mapValue(op, vmap)
+					switch v := op.(type) {
+					case *Instr:
+						if nv, ok := imap[v]; ok {
+							op = nv
+						}
+					case *Param:
+						if nv, ok := pmap[v]; ok {
+							op = nv
+						}
+					}
+					ni.Operands[oi] = op
 				}
 			}
-			if len(in.Blocks) > 0 {
-				ni.Blocks = make([]*Block, len(in.Blocks))
-				for i, tb := range in.Blocks {
-					ni.Blocks[i] = bmap[tb]
+			if n := len(in.Blocks); n > 0 {
+				ni.Blocks, targets = targets[:n:n], targets[n:]
+				for ti, tb := range in.Blocks {
+					ni.Blocks[ti] = bmap[tb]
 				}
 			}
 		}
@@ -132,10 +119,7 @@ func ShadowFunc(f *Func) *Func {
 		ReadOnly:    f.ReadOnly,
 		nameCounter: f.nameCounter,
 	}
-	sh.Blocks = CloneBlocks(f)
-	for _, b := range sh.Blocks {
-		b.Parent = sh
-	}
+	sh.Blocks = cloneBody(f, sh, nil)
 	return sh
 }
 
@@ -148,13 +132,6 @@ func (f *Func) AdoptBody(sh *Func) {
 		b.Parent = f
 	}
 	f.nameCounter = sh.nameCounter
-}
-
-func mapValue(v Value, vmap map[Value]Value) Value {
-	if nv, ok := vmap[v]; ok {
-		return nv
-	}
-	return v
 }
 
 // CloneModule returns a deep copy of m. Globals and named struct types

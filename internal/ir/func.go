@@ -168,15 +168,19 @@ func (f *Func) NumInstrs() int {
 // it as an operand (def-use chains). The map is computed by scanning the
 // function; callers should recompute it after mutating the IR.
 func (f *Func) Users() map[Value][]*Instr {
-	users := make(map[Value][]*Instr)
+	users := make(map[Value][]*Instr, f.NumInstrs())
 	for _, b := range f.Blocks {
 		for _, in := range b.Instrs {
-			seen := make(map[Value]bool, len(in.Operands))
-			for _, op := range in.Operands {
-				if op == nil || seen[op] {
+		operands:
+			for i, op := range in.Operands {
+				if op == nil {
 					continue
 				}
-				seen[op] = true
+				for _, prev := range in.Operands[:i] {
+					if prev == op {
+						continue operands
+					}
+				}
 				users[op] = append(users[op], in)
 			}
 		}

@@ -37,7 +37,10 @@ func (m *Module) Verify() error {
 	return nil
 }
 
-// Verify checks the invariants of a single function.
+// Verify checks the invariants of a single function. It costs time
+// linear in the function's size: blocks and instructions are indexed
+// once, predecessors come from one table, and dominance is answered from
+// an immediate-dominator tree (see domTree).
 func (f *Func) Verify() error {
 	if f.IsDecl() {
 		return nil
@@ -53,24 +56,28 @@ func (f *Func) Verify() error {
 		return e
 	}
 
-	// Name uniqueness and block well-formedness.
-	names := make(map[string]bool)
+	// Name uniqueness and block well-formedness. pos records each
+	// instruction's index in its block; its keys are the instructions
+	// this function defines.
+	nInstrs := f.NumInstrs()
+	names := make(map[string]bool, len(f.Params)+nInstrs)
+	params := make(map[*Param]bool, len(f.Params))
 	for _, p := range f.Params {
 		if names[p.Name] {
 			return errf(nil, nil, "duplicate name %%%s", p.Name)
 		}
 		names[p.Name] = true
+		params[p] = true
 	}
-	blockNames := make(map[string]bool)
-	defined := make(map[Value]bool)
-	for _, p := range f.Params {
-		defined[p] = true
-	}
-	for _, b := range f.Blocks {
+	blockNames := make(map[string]bool, len(f.Blocks))
+	blockIndex := make(map[*Block]int, len(f.Blocks))
+	pos := make(map[*Instr]int, nInstrs)
+	for bi, b := range f.Blocks {
 		if blockNames[b.Name] {
 			return errf(b, nil, "duplicate block name")
 		}
 		blockNames[b.Name] = true
+		blockIndex[b] = bi
 		if b.Terminator() == nil {
 			return errf(b, nil, "block is not terminated")
 		}
@@ -93,12 +100,13 @@ func (f *Func) Verify() error {
 				}
 				names[in.Name] = true
 			}
-			defined[in] = true
+			pos[in] = i
 		}
 	}
+	g := newCFG(f, blockIndex)
 
 	// Operand validity and typing.
-	for _, b := range f.Blocks {
+	for bi, b := range f.Blocks {
 		for _, in := range b.Instrs {
 			for oi, op := range in.Operands {
 				if op == nil {
@@ -106,11 +114,11 @@ func (f *Func) Verify() error {
 				}
 				switch v := op.(type) {
 				case *Instr:
-					if !defined[v] {
+					if _, ok := pos[v]; !ok {
 						return errf(b, in, "operand %%%s is not defined in this function", v.Name)
 					}
 				case *Param:
-					if !defined[v] {
+					if !params[v] {
 						return errf(b, in, "operand %%%s is not a parameter of this function", v.Name)
 					}
 				case *Global:
@@ -123,54 +131,47 @@ func (f *Func) Verify() error {
 				return errf(b, in, "%v", err)
 			}
 			if in.Op == OpPhi {
-				preds := f.Preds(b)
+				preds := g.preds(bi)
 				if len(in.Blocks) != len(preds) {
 					return errf(b, in, "phi has %d incoming edges, block has %d predecessors", len(in.Blocks), len(preds))
 				}
 				for _, p := range preds {
-					if _, ok := in.PhiIncoming(p); !ok {
-						return errf(b, in, "phi missing incoming value for predecessor %%%s", p.Name)
+					if _, ok := in.PhiIncoming(f.Blocks[p]); !ok {
+						return errf(b, in, "phi missing incoming value for predecessor %%%s", f.Blocks[p].Name)
 					}
 				}
 			}
 		}
 	}
 
-	// Dominance: a simple iterative dominator computation over blocks,
-	// then each non-phi use must be dominated by its definition.
-	dom := f.dominators()
-	blockIndex := make(map[*Block]int, len(f.Blocks))
-	instrIndex := make(map[*Instr]int)
+	// Dominance: each use must be dominated by its definition. A phi
+	// use is checked at the end of its incoming edge.
+	var dom *domTree
 	for bi, b := range f.Blocks {
-		blockIndex[b] = bi
-		for ii, in := range b.Instrs {
-			instrIndex[in] = ii
-		}
-	}
-	dominates := func(def *Instr, useBlock *Block, useIdx int, usePhiPred *Block) bool {
-		db := def.Parent
-		if usePhiPred != nil {
-			// A phi use must be dominated at the end of the incoming edge.
-			useBlock = usePhiPred
-			useIdx = len(useBlock.Instrs)
-		}
-		if db == useBlock {
-			return instrIndex[def] < useIdx
-		}
-		return dom[useBlock][db]
-	}
-	for _, b := range f.Blocks {
 		for ii, in := range b.Instrs {
 			for oi, op := range in.Operands {
 				def, ok := op.(*Instr)
 				if !ok {
 					continue
 				}
-				var phiPred *Block
+				ub, useIdx := bi, ii
 				if in.Op == OpPhi {
-					phiPred = in.Blocks[oi]
+					// The checks above made the phi's blocks exactly
+					// b's predecessors, so pred is a block of f.
+					pred := in.Blocks[oi]
+					ub, useIdx = blockIndex[pred], len(pred.Instrs)
 				}
-				if !dominates(def, b, ii, phiPred) {
+				db := blockIndex[def.Parent]
+				var dominated bool
+				if db == ub {
+					dominated = pos[def] < useIdx
+				} else {
+					if dom == nil {
+						dom = g.domTree()
+					}
+					dominated = dom.dominates(db, ub)
+				}
+				if !dominated {
 					return errf(b, in, "use of %%%s is not dominated by its definition", def.Name)
 				}
 			}
@@ -179,73 +180,198 @@ func (f *Func) Verify() error {
 	return nil
 }
 
-// dominators returns, for each block b, the set of blocks that dominate
-// b, computed by the standard iterative data-flow algorithm.
-func (f *Func) dominators() map[*Block]map[*Block]bool {
-	all := make(map[*Block]bool, len(f.Blocks))
-	for _, b := range f.Blocks {
-		all[b] = true
-	}
-	dom := make(map[*Block]map[*Block]bool, len(f.Blocks))
-	entry := f.Entry()
-	for _, b := range f.Blocks {
-		if b == entry {
-			dom[b] = map[*Block]bool{b: true}
-		} else {
-			full := make(map[*Block]bool, len(all))
-			for k := range all {
-				full[k] = true
+// cfg is a function's control-flow graph over block indices, with the
+// predecessor lists in compressed form: the predecessors of block b
+// are pred[predStart[b]:predStart[b+1]], in block order and without
+// duplicates, exactly as Func.Preds lists them. Branch targets outside
+// the function are ignored.
+type cfg struct {
+	succ      [][]int
+	predStart []int
+	pred      []int
+}
+
+func newCFG(f *Func, blockIndex map[*Block]int) *cfg {
+	n := len(f.Blocks)
+	g := &cfg{succ: make([][]int, n), predStart: make([]int, n+1)}
+	for bi, b := range f.Blocks {
+		targets := b.Succs()
+		if len(targets) == 0 {
+			continue
+		}
+		succ := make([]int, 0, len(targets))
+	next:
+		for _, t := range targets {
+			si, ok := blockIndex[t]
+			if !ok {
+				continue
 			}
-			dom[b] = full
+			for _, s := range succ {
+				if s == si {
+					continue next
+				}
+			}
+			succ = append(succ, si)
+			g.predStart[si+1]++
+		}
+		g.succ[bi] = succ
+	}
+	for i := 0; i < n; i++ {
+		g.predStart[i+1] += g.predStart[i]
+	}
+	g.pred = make([]int, g.predStart[n])
+	fill := append([]int(nil), g.predStart[:n]...)
+	for bi, succ := range g.succ {
+		for _, s := range succ {
+			g.pred[fill[s]] = bi
+			fill[s]++
 		}
 	}
-	preds := make(map[*Block][]*Block)
-	for _, b := range f.Blocks {
-		for _, s := range b.Succs() {
-			preds[s] = append(preds[s], b)
+	return g
+}
+
+func (g *cfg) preds(b int) []int { return g.pred[g.predStart[b]:g.predStart[b+1]] }
+
+// domTree answers dominance queries between blocks in O(1) from the
+// pre/post-order interval of each block in the dominator tree.
+//
+// The tree hangs from a virtual root whose children are the CFG's
+// roots: the entry block and every other block without predecessors.
+// Each root thus dominates what only it reaches, and a block no root
+// reaches is dominated by every block. (This is the greatest fixed
+// point of the classic iterative equations dom(b) = {b} ∪ ⋂ dom(p)
+// with dom(entry) = {entry} and an empty intersection for a block
+// without predecessors.) Immediate dominators come from Cooper,
+// Harvey and Kennedy's "A Simple, Fast Dominance Algorithm".
+type domTree struct {
+	pre, post []int // -1 for a block no root reaches
+}
+
+func (g *cfg) domTree() *domTree {
+	n := len(g.succ)
+	root := n // the virtual root
+	isRoot := func(b int) bool { return b == 0 || g.predStart[b] == g.predStart[b+1] }
+	var roots []int
+	for b := 0; b < n; b++ {
+		if isRoot(b) {
+			roots = append(roots, b)
 		}
 	}
-	changed := true
-	for changed {
+	succ := func(b int) []int {
+		if b == root {
+			return roots
+		}
+		return g.succ[b]
+	}
+
+	// Post-order over the CFG from the virtual root.
+	po := make([]int, n+1) // post-order number; -1 if unreached
+	for i := range po {
+		po[i] = -1
+	}
+	var order []int // reached blocks in post-order, root last
+	walk(n+1, root, succ, nil, func(b int) {
+		po[b] = len(order)
+		order = append(order, b)
+	})
+
+	// Immediate dominators, iterating in reverse post-order.
+	idom := make([]int, n+1)
+	for i := range idom {
+		idom[i] = -1
+	}
+	idom[root] = root
+	intersect := func(a, b int) int {
+		for a != b {
+			for po[a] < po[b] {
+				a = idom[a]
+			}
+			for po[b] < po[a] {
+				b = idom[b]
+			}
+		}
+		return a
+	}
+	for changed := true; changed; {
 		changed = false
-		for _, b := range f.Blocks {
-			if b == entry {
-				continue
-			}
-			var inter map[*Block]bool
-			for _, p := range preds[b] {
-				if inter == nil {
-					inter = make(map[*Block]bool, len(dom[p]))
-					for k := range dom[p] {
-						inter[k] = true
-					}
-				} else {
-					for k := range inter {
-						if !dom[p][k] {
-							delete(inter, k)
-						}
+		for i := len(order) - 2; i >= 0; i-- {
+			b := order[i]
+			nd := root
+			if !isRoot(b) {
+				nd = -1
+				for _, p := range g.preds(b) {
+					switch {
+					case idom[p] < 0:
+					case nd < 0:
+						nd = p
+					default:
+						nd = intersect(p, nd)
 					}
 				}
 			}
-			if inter == nil {
-				inter = make(map[*Block]bool)
-			}
-			inter[b] = true
-			if len(inter) != len(dom[b]) {
-				dom[b] = inter
+			if idom[b] != nd {
+				idom[b] = nd
 				changed = true
-				continue
-			}
-			for k := range inter {
-				if !dom[b][k] {
-					dom[b] = inter
-					changed = true
-					break
-				}
 			}
 		}
 	}
-	return dom
+
+	// Pre/post-order intervals over the dominator tree.
+	kids := make([][]int, n+1)
+	for _, b := range order[:len(order)-1] {
+		kids[idom[b]] = append(kids[idom[b]], b)
+	}
+	d := &domTree{pre: make([]int, n+1), post: make([]int, n+1)}
+	for i := range d.pre {
+		d.pre[i], d.post[i] = -1, -1
+	}
+	clock := 0
+	walk(n+1, root, func(b int) []int { return kids[b] },
+		func(b int) { clock++; d.pre[b] = clock },
+		func(b int) { clock++; d.post[b] = clock })
+	return d
+}
+
+// walk visits the nodes (numbered below n) reachable from start
+// depth-first, without recursion, calling enter (if non-nil) when it
+// first reaches a node and leave once it has visited all of the node's
+// successors.
+func walk(n, start int, succ func(int) []int, enter, leave func(int)) {
+	type frame struct {
+		node int
+		next []int
+	}
+	seen := make([]bool, n)
+	seen[start] = true
+	visit := func(b int) frame {
+		if enter != nil {
+			enter(b)
+		}
+		return frame{b, succ(b)}
+	}
+	stack := []frame{visit(start)}
+	for len(stack) > 0 {
+		top := &stack[len(stack)-1]
+		if len(top.next) == 0 {
+			leave(top.node)
+			stack = stack[:len(stack)-1]
+			continue
+		}
+		s := top.next[0]
+		top.next = top.next[1:]
+		if !seen[s] {
+			seen[s] = true
+			stack = append(stack, visit(s))
+		}
+	}
+}
+
+// dominates reports whether block a dominates block b (a != b).
+func (d *domTree) dominates(a, b int) bool {
+	if d.pre[b] < 0 {
+		return true
+	}
+	return d.pre[a] >= 0 && d.pre[a] < d.pre[b] && d.post[b] < d.post[a]
 }
 
 func checkTypes(in *Instr) error {

@@ -200,6 +200,47 @@ func TestCacheKey(t *testing.T) {
 	}
 }
 
+// TestEngineAsmIgnoresName pins that a cached assembly reply does not
+// carry the first requester's module name: Config.Name is not part of
+// the cache key, so two requests that differ only in name must both get
+// the assembly a fresh engine produces for them.
+func TestEngineAsmIgnoresName(t *testing.T) {
+	req := func(name string) Request {
+		return Request{
+			Source: "int sum4(int *a) { return a[0] + a[1] + a[2] + a[3]; }",
+			Config: rolag.Config{Name: name, Opt: rolag.OptRoLAG},
+			Format: FormatAsm,
+		}
+	}
+	fresh := func(name string) string {
+		e := New(Config{Workers: 1})
+		defer e.Close(context.Background())
+		resp, err := e.Compile(context.Background(), req(name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp.Asm
+	}
+
+	e := New(Config{Workers: 1})
+	defer e.Close(context.Background())
+	for i, name := range []string{"alpha", "beta"} {
+		resp, err := e.Compile(context.Background(), req(name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.CacheHit != (i > 0) {
+			t.Fatalf("%s: cacheHit = %t", name, resp.CacheHit)
+		}
+		if want := fresh(name); resp.Asm != want {
+			t.Errorf("%s: asm differs from a fresh compile:\n%s\nwant:\n%s", name, resp.Asm, want)
+		}
+		if strings.Contains(resp.Asm, "alpha") {
+			t.Errorf("%s: asm names another request's module:\n%s", name, resp.Asm)
+		}
+	}
+}
+
 // TestEngineFormatAsm exercises the format=asm path: the response
 // carries assembly text and a measured .text size, both survive a
 // cache hit, and a format-less request for the same source does not

@@ -13,27 +13,30 @@ import (
 // of every key and is stamped into cache snapshots, so a snapshot
 // written under an older key layout can never warm a cache whose keys
 // are hashed under a newer one — the loader rejects it and starts cold.
-const cacheKeyVersion = "v3"
+// It also changes whenever the format of a cached output changes (v4:
+// assembly prints zero runs as .zero and has no module name in its
+// header), so no snapshot or peer serves output in an old format.
+const cacheKeyVersion = "v4"
 
 // cacheKey derives the content address of a request: the SHA-256 of the
 // source text plus a canonical encoding of every Config field that can
 // change the compiled output.
 //
 // Config.Name is deliberately excluded — the module name never appears
-// in the printed IR or in any size measurement, so two requests that
-// differ only in name share one compilation. Config.CloneInput is an
-// ownership knob, not a pipeline knob, and is likewise excluded. The
-// fail-soft knobs (FailSoft, PassBudget, Guard) are excluded too: the
-// engine sets them itself on every job, and a degraded result is never
-// stored, so the cache only ever holds outputs equal to what the
-// fail-hard pipeline would produce for the same key. Config.Parallelism
-// is engine-set as well, and the parallel pipeline's output is
-// byte-identical to serial by contract, so it cannot split the key
-// space either. Config.Remarks IS part of the key: remarks travel in
-// the Response, so a remark-less cached result must not satisfy a
-// request that asked for them (and vice versa — remark streams are
-// deterministic, so a remarks=true entry answers every remarks=true
-// request exactly).
+// in the printed IR, the printed assembly or any size measurement, so
+// two requests that differ only in name share one compilation.
+// Config.CloneInput is an ownership knob, not a pipeline knob, and is
+// likewise excluded. The fail-soft knobs (FailSoft, PassBudget, Guard)
+// are excluded too: the engine sets them itself on every job, and a
+// degraded result is never stored, so the cache only ever holds outputs
+// equal to what the fail-hard pipeline would produce for the same key.
+// Config.Parallelism is engine-set as well, and the parallel pipeline's
+// output is byte-identical to serial by contract, so it cannot split
+// the key space either. Config.Remarks IS part of the key: remarks
+// travel in the Response, so a remark-less cached result must not
+// satisfy a request that asked for them (and vice versa — remark
+// streams are deterministic, so a remarks=true entry answers every
+// remarks=true request exactly).
 // Options.Model is canonicalized by value (nil means the default
 // profitability model), so the fresh-but-identical *Model pointers that
 // rolag.DefaultOptions returns on every call all map to the same key.

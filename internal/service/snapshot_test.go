@@ -137,6 +137,8 @@ func TestSnapshotRejection(t *testing.T) {
 		{"bit-flipped-key", flip(`"key":"`)},
 		{"bit-flipped-checksum", flip(`"sum":"`)},
 		{"stale-cache-key-version", rewriteHeader(func(h map[string]any) { h["cacheKey"] = "v2" })},
+		// v3 entries hold assembly in the format before .zero runs.
+		{"previous-cache-key-version", rewriteHeader(func(h map[string]any) { h["cacheKey"] = "v3" })},
 		{"future-snapshot-version", rewriteHeader(func(h map[string]any) { h["version"] = 99 })},
 		{"alien-format", rewriteHeader(func(h map[string]any) { h["format"] = "someone-elses-file" })},
 		{"overclaimed-entry-count", rewriteHeader(func(h map[string]any) { h["entries"] = 1000 })},
