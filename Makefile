@@ -17,7 +17,7 @@
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: all build vet test race fuzz-smoke chaos-smoke bench-smoke explain-smoke asm-smoke calib-check cluster-smoke chaos-cluster-smoke fleet-smoke ci calib bench bench-core bench-cluster bench-chaos bench-fleet serve clean
+.PHONY: all build vet test race fuzz-smoke chaos-smoke bench-smoke explain-smoke asm-smoke calib-check cluster-smoke chaos-cluster-smoke fleet-smoke loadgen-smoke-bin ci calib bench bench-core bench-cluster bench-chaos bench-fleet serve clean
 
 all: build
 
@@ -115,13 +115,19 @@ bench-smoke:
 		-out $(or $(TMPDIR),/tmp)/rolag-bench-smoke.json \
 		-check results/BENCH_core.json -max-slowdown 2
 
+# The three loadgen smokes share one rolag-loadgen binary, built once
+# per make run.
+LOADGEN_SMOKE = $(or $(TMPDIR),/tmp)/rolag-loadgen-smoke
+loadgen-smoke-bin:
+	$(GO) build -o $(LOADGEN_SMOKE) ./cmd/rolag-loadgen
+
 # Cluster smoke: spawn a local 3-shard cluster plus router and push a
 # 500-request zipfian burst through it (a quarter of it shard-direct, so
 # the fetch-on-miss peer cache tier is exercised). Fails on any byte
 # difference from the serial reference, on zero peer-cache hits, or on a
 # >5x p99/throughput regression vs the committed cluster baseline.
-cluster-smoke:
-	$(GO) run ./cmd/rolag-loadgen -shards 3 -requests 500 -n 120 -rate 400 \
+cluster-smoke: loadgen-smoke-bin
+	$(LOADGEN_SMOKE) -shards 3 -requests 500 -n 120 -rate 400 \
 		-require-peer-hits \
 		-out $(or $(TMPDIR),/tmp)/rolag-cluster-smoke.json \
 		-check results/BENCH_cluster.json -max-slowdown 5
@@ -132,8 +138,8 @@ cluster-smoke:
 # then restarted from its periodic cache snapshot. Gates: byte parity
 # on 100% of successful responses, availability >= 99%, and the
 # restarted shard serving snapshot-warm hits.
-chaos-cluster-smoke:
-	$(GO) run ./cmd/rolag-loadgen -chaos -shards 3 -requests 400 -n 120 \
+chaos-cluster-smoke: loadgen-smoke-bin
+	$(LOADGEN_SMOKE) -chaos -shards 3 -requests 400 -n 120 \
 		-rate 200 -timeout 8s \
 		-out $(or $(TMPDIR),/tmp)/rolag-chaos-cluster-smoke.json
 
@@ -143,8 +149,8 @@ chaos-cluster-smoke:
 # request must yield a fully-stitched multi-process trace from
 # GET /debug/trace/{id} (completeness >= 99%), and the router-observed
 # /v1/compile p99 must agree with the fleet-merged shard-reported p99.
-fleet-smoke:
-	$(GO) run ./cmd/rolag-loadgen -fleet -shards 3 -requests 300 -n 120 -rate 400 \
+fleet-smoke: loadgen-smoke-bin
+	$(LOADGEN_SMOKE) -fleet -shards 3 -requests 300 -n 120 -rate 400 \
 		-out $(or $(TMPDIR),/tmp)/rolag-fleet-smoke.json
 
 ci: vet build race fuzz-smoke chaos-smoke bench-smoke explain-smoke asm-smoke calib-check cluster-smoke chaos-cluster-smoke fleet-smoke

@@ -32,21 +32,16 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"log/slog"
-	"math/rand"
-	"net"
 	"net/http"
 	"os"
-	"path/filepath"
-	"sort"
+	"slices"
+	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"rolag/internal/cluster"
-	"rolag/internal/daemon"
 	"rolag/internal/faultpoint"
 	"rolag/internal/rolagdapi"
 	"rolag/internal/service"
@@ -60,13 +55,7 @@ const ChaosSchema = "rolag/cluster-chaos/v1"
 type ChaosResult struct {
 	Schema string `json:"schema"`
 	Config struct {
-		Shards           int     `json:"shards"`
-		Workers          int     `json:"workers"`
-		CorpusN          int     `json:"corpus_n"`
-		Seed             int64   `json:"seed"`
-		Requests         int     `json:"requests"`
-		Rate             float64 `json:"rate_per_sec"`
-		ZipfS            float64 `json:"zipf_s"`
+		burstConfig
 		NetFaultProb     float64 `json:"net_fault_prob"`
 		KillFrac         float64 `json:"kill_frac"`
 		RestartDelayMs   float64 `json:"restart_delay_ms"`
@@ -100,104 +89,19 @@ type ChaosResult struct {
 	ShardStates map[string]string    `json:"shard_states"`
 	Cluster     rolagdapi.CacheStats `json:"cluster"`
 	HitRate     float64              `json:"hit_rate"`
-	Parity      struct {
-		Checked    int64 `json:"checked"`
-		Mismatched int64 `json:"mismatched"`
-	} `json:"parity"`
-	Gates struct {
+	Parity      parityCount          `json:"parity"`
+	Gates       struct {
 		Parity       bool `json:"parity"`
 		Availability bool `json:"availability"`
 		WarmRestart  bool `json:"warm_restart"`
 	} `json:"gates"`
 }
 
-// chaosConfig carries the -chaos* flags into runChaos.
-type chaosConfig struct {
-	shards, workers, n, requests int
-	seed                         int64
-	rate, zipfS                  float64
-	netProb, killFrac            float64
-	restartDelay, snapInterval   time.Duration
-	minAvailability              float64
-	timeout                      time.Duration
-	out                          string
-}
-
-// chaosShard is one restartable rolagd replica: crash() kills it like a
-// dead process (listener dropped, no drain, no goodbye snapshot) and
-// start() brings it back on the same port with the same snapshot path.
-type chaosShard struct {
-	name     string
-	addr     string // fixed after the first listen
-	snapPath string
-	cfg      *chaosConfig
-	peers    map[string]string
-	logger   *slog.Logger
-
-	mu  sync.Mutex
-	d   *daemon.Daemon
-	srv *http.Server
-}
-
-// start builds a fresh daemon and serves it. ln is the pre-bound
-// listener on first start (membership URLs must exist before any daemon
-// is built); nil relistens on the shard's recorded address.
-func (s *chaosShard) start(ln net.Listener) error {
-	if ln == nil {
-		var err error
-		ln, err = net.Listen("tcp", s.addr)
-		if err != nil {
-			return fmt.Errorf("restart %s on %s: %w", s.name, s.addr, err)
-		}
-	}
-	s.addr = ln.Addr().String()
-	d := daemon.New(daemon.Config{
-		Engine:           service.Config{Workers: s.cfg.workers},
-		RequestCap:       s.cfg.timeout,
-		Log:              s.logger,
-		ShardID:          s.name,
-		Peers:            s.peers,
-		SnapshotPath:     s.snapPath,
-		SnapshotInterval: s.cfg.snapInterval,
-	})
-	srv := &http.Server{Handler: d.Handler()}
-	s.mu.Lock()
-	s.d, s.srv = d, srv
-	s.mu.Unlock()
-	go srv.Serve(ln)
-	return nil
-}
-
-// crash drops the listener (in-flight connections die) and abandons the
-// daemon without draining — the periodic snapshot on disk is now the
-// only memory this shard has.
-func (s *chaosShard) crash() {
-	s.mu.Lock()
-	d, srv := s.d, s.srv
-	s.mu.Unlock()
-	srv.Close()
-	d.Crash()
-}
-
-// daemon returns the currently-serving daemon (the restarted one after
-// a crash-restart cycle).
-func (s *chaosShard) daemon() *daemon.Daemon {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.d
-}
-
-func runChaos(cfg chaosConfig) {
-	logger := slog.New(slog.NewTextHandler(os.Stderr, &slog.HandlerOptions{Level: slog.LevelError}))
+func runChaos(cfg *config) (*outcome, error) {
+	logger := newLogger(slog.LevelError)
 
 	res := &ChaosResult{Schema: ChaosSchema}
-	res.Config.Shards = cfg.shards
-	res.Config.Workers = cfg.workers
-	res.Config.CorpusN = cfg.n
-	res.Config.Seed = cfg.seed
-	res.Config.Requests = cfg.requests
-	res.Config.Rate = cfg.rate
-	res.Config.ZipfS = cfg.zipfS
+	res.Config.burstConfig = cfg.burst()
 	res.Config.NetFaultProb = cfg.netProb
 	res.Config.KillFrac = cfg.killFrac
 	res.Config.RestartDelayMs = float64(cfg.restartDelay) / float64(time.Millisecond)
@@ -205,45 +109,46 @@ func runChaos(cfg chaosConfig) {
 	res.Config.MinAvailability = cfg.minAvailability
 
 	corpus := angha.Generate(cfg.n, cfg.seed)
-	refIR := serialReference(corpus, cfg.workers, logger)
+	par, err := serialReference(corpus, cfg.workers, logger)
+	if err != nil {
+		return nil, err
+	}
 
 	snapDir, err := os.MkdirTemp("", "rolag-chaos-*")
 	if err != nil {
-		fatal(err)
+		return nil, err
 	}
 	defer os.RemoveAll(snapDir)
 
-	// Restartable shards: bind every port first so the membership map
-	// exists before any daemon starts.
-	lns := make([]net.Listener, cfg.shards)
-	peers := make(map[string]string, cfg.shards)
-	shards := make([]*chaosShard, cfg.shards)
-	for i := range shards {
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			fatal(err)
-		}
-		lns[i] = ln
-		name := fmt.Sprintf("shard-%c", 'a'+i)
-		shards[i] = &chaosShard{
-			name:     name,
-			addr:     ln.Addr().String(),
-			snapPath: filepath.Join(snapDir, name+".snapshot"),
-			cfg:      &cfg,
-			logger:   logger,
-		}
-		peers[name] = "http://" + ln.Addr().String()
+	// The router crosses the same faulty links as real traffic, probes
+	// fast enough to notice the crash within a few hundred ms, and
+	// hedges around stalls and blackholes.
+	f, err := startFleet(cfg, logger, fleetOpts{
+		snapDir:   snapDir,
+		snapEvery: cfg.snapInterval,
+		router: func(peers map[string]string) cluster.Config {
+			hostSite := make(map[string]string, len(peers))
+			for name, u := range peers {
+				hostSite[strings.TrimPrefix(u, "http://")] = faultpoint.NetSite(name)
+			}
+			return cluster.Config{
+				HTTPClient: &http.Client{
+					Timeout: cfg.timeout,
+					Transport: &faultpoint.Transport{SiteFor: func(req *http.Request) string {
+						return hostSite[req.URL.Host]
+					}},
+				},
+				ProbeInterval: 150 * time.Millisecond,
+				ProbeTimeout:  300 * time.Millisecond,
+				DownAfter:     2,
+				Hedge:         true,
+			}
+		},
+	})
+	if err != nil {
+		return nil, err
 	}
-	byName := make(map[string]*chaosShard, cfg.shards)
-	hostSite := make(map[string]string, cfg.shards)
-	for i, s := range shards {
-		s.peers = peers
-		byName[s.name] = s
-		hostSite[s.addr] = faultpoint.NetSite(s.name)
-		if err := s.start(lns[i]); err != nil {
-			fatal(err)
-		}
-	}
+	defer f.close()
 
 	// Arm the network. Only "net:" sites fire — the engine's own fault
 	// sites stay dark, so a wrong byte can only come from the cluster.
@@ -255,138 +160,82 @@ func runChaos(cfg chaosConfig) {
 	})
 	defer faultpoint.Reset()
 
-	// The router crosses the same faulty links as real traffic, probes
-	// fast enough to notice the crash within a few hundred ms, and
-	// hedges around stalls and blackholes.
-	rt, err := cluster.New(cluster.Config{
-		Shards: peers,
-		Log:    logger,
-		HTTPClient: &http.Client{
-			Timeout: cfg.timeout,
-			Transport: &faultpoint.Transport{SiteFor: func(req *http.Request) string {
-				return hostSite[req.URL.Host]
-			}},
-		},
-		ProbeInterval: 150 * time.Millisecond,
-		ProbeTimeout:  300 * time.Millisecond,
-		DownAfter:     2,
-		Hedge:         true,
-	})
-	if err != nil {
-		fatal(err)
-	}
-	defer rt.Close()
-	rln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		fatal(err)
-	}
-	go (&http.Server{Handler: rt.Handler()}).Serve(rln)
-	client := &rolagdapi.Client{BaseURL: "http://" + rln.Addr().String()}
-
 	// The victim is the shard owning the hottest zipf key (index 0): the
 	// crash hits the busiest slice of the keyspace, and the hot key's
 	// presence in the victim's snapshot makes warm hits observable fast.
-	victim := byName[rt.Owner(keyFor(&corpus[0]))]
-	res.Victim.Shard = victim.name
-	killAt := int(cfg.killFrac * float64(cfg.requests))
-	if killAt < 1 {
-		killAt = 1
+	key, err := keyFor(&corpus[0])
+	if err != nil {
+		return nil, err
 	}
+	var victim *shard
+	for _, s := range f.shards {
+		if s.name == f.router.Owner(key) {
+			victim = s
+		}
+	}
+	res.Victim.Shard = victim.name
+	killAt := max(int(cfg.killFrac*float64(cfg.requests)), 1)
 	res.Victim.KilledAtRequest = killAt
 
-	zrng := rand.New(rand.NewSource(cfg.seed + 1))
-	zipf := rand.NewZipf(zrng, cfg.zipfS, 1, uint64(cfg.n-1))
-	arng := rand.New(rand.NewSource(cfg.seed + 2))
-
 	var (
-		mu        sync.Mutex
-		latencies []float64
-		wg        sync.WaitGroup
-
-		completed, errs, degraded atomic.Int64
-		failovers, checked        atomic.Int64
-		mismatched, downMs        atomic.Int64
+		restart    sync.WaitGroup
+		restartErr error
+		downMs     time.Duration
 	)
-	start := time.Now()
-	for i := 0; i < cfg.requests; i++ {
-		time.Sleep(time.Duration(arng.ExpFloat64() / cfg.rate * float64(time.Second)))
-		if i == killAt {
+	b, err := drive(cfg, f, corpus, burstHooks{
+		arrive: func(i int) error {
+			if i != killAt {
+				return nil
+			}
 			// Make sure the victim has at least one periodic snapshot on
 			// disk (its only memory), then kill it un-drained and schedule
 			// the restart while traffic keeps flowing.
-			waitForSnapshot(victim, 5*time.Second)
+			if err := waitForSnapshot(victim, 5*time.Second); err != nil {
+				return err
+			}
 			killed := time.Now()
 			victim.crash()
-			wg.Add(1)
+			restart.Add(1)
 			go func() {
-				defer wg.Done()
+				defer restart.Done()
 				time.Sleep(cfg.restartDelay)
-				if err := victim.start(nil); err != nil {
-					fatal(err)
-				}
-				downMs.Store(int64(time.Since(killed) / time.Millisecond))
+				restartErr = victim.restart()
+				downMs = time.Since(killed)
 			}()
-		}
-		idx := int(zipf.Uint64())
-		wg.Add(1)
-		go func(idx int) {
-			defer wg.Done()
-			ctx, cancel := context.WithTimeout(context.Background(), cfg.timeout)
-			defer cancel()
-			t0 := time.Now()
-			resp, err := client.Compile(ctx, &rolagdapi.CompileRequest{Source: corpus[idx].Src})
-			lat := time.Since(t0).Seconds() * 1000
-			if err != nil {
-				errs.Add(1)
-				return
+			return nil
+		},
+		// Unlike the benchmark, chaos checks parity on failed-over
+		// responses too: network failover must never change bytes.
+		// Only engine-level degradation (a skipped pass under a real
+		// pass fault) legitimately alters output, and no engine faults
+		// are armed here — so everything is checked unless degraded by
+		// something other than router failover.
+		respond: func(idx int, resp *rolagdapi.CompileResponse) {
+			if !engineDegraded(resp) {
+				par.check(idx, resp.IR)
 			}
-			completed.Add(1)
-			mu.Lock()
-			latencies = append(latencies, lat)
-			mu.Unlock()
-			if resp.Degraded {
-				degraded.Add(1)
-				for _, p := range resp.DegradedPasses {
-					if p == cluster.FailoverPass {
-						failovers.Add(1)
-						break
-					}
-				}
-			}
-			// Unlike the benchmark, chaos checks parity on failed-over
-			// responses too: network failover must never change bytes.
-			// Only engine-level degradation (a skipped pass under a real
-			// pass fault) legitimately alters output, and no engine
-			// faults are armed here — so everything is checked unless
-			// degraded by something other than router failover.
-			if engineDegraded(resp) {
-				return
-			}
-			checked.Add(1)
-			if resp.IR != refIR[idx] {
-				mismatched.Add(1)
-				fmt.Fprintf(os.Stderr, "rolag-loadgen: PARITY VIOLATION on corpus[%d]\n", idx)
-			}
-		}(idx)
+		},
+	})
+	restart.Wait()
+	if err == nil {
+		err = restartErr
 	}
-	wg.Wait()
-	res.WallSeconds = time.Since(start).Seconds()
+	if err != nil {
+		return nil, err
+	}
+	res.WallSeconds = b.wall.Seconds()
 	res.Issued = int64(cfg.requests)
-	res.Completed = completed.Load()
-	res.Errors = errs.Load()
+	res.Completed, res.Errors = b.completed, b.errors
 	res.Availability = float64(res.Completed) / float64(res.Issued)
-	res.Degraded = degraded.Load()
-	res.Failovers = failovers.Load()
-	res.Parity.Checked = checked.Load()
-	res.Parity.Mismatched = mismatched.Load()
-	res.Victim.DownMs = float64(downMs.Load())
-	sort.Float64s(latencies)
-	res.Latency.P50Ms = pct(latencies, 50)
-	res.Latency.P99Ms = pct(latencies, 99)
-	res.Latency.MaxMs = pct(latencies, 100)
-	res.Hedge.PrimaryWins, res.Hedge.HedgeWins, res.Hedge.BothFailed = rt.HedgeTotals()
+	res.Degraded, res.Failovers = b.degraded, b.failovers
+	res.Parity = par.count()
+	res.Victim.DownMs = float64(downMs / time.Millisecond)
+	res.Latency.P50Ms = b.pct(50)
+	res.Latency.P99Ms = b.pct(99)
+	res.Latency.MaxMs = b.pct(100)
+	res.Hedge.PrimaryWins, res.Hedge.HedgeWins, res.Hedge.BothFailed = f.router.HedgeTotals()
 	res.ShardStates = make(map[string]string)
-	for name, st := range rt.ShardStates() {
+	for name, st := range f.router.ShardStates() {
 		res.ShardStates[name] = st.String()
 	}
 
@@ -401,7 +250,7 @@ func runChaos(cfg chaosConfig) {
 	// a shard from one aggregation attempt; stats are informational).
 	faultpoint.Reset()
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	if cs, err := client.CacheStats(ctx); err == nil {
+	if cs, err := f.client.CacheStats(ctx); err == nil {
 		res.Cluster = *cs
 		res.HitRate = cs.HitRate()
 	}
@@ -411,92 +260,59 @@ func runChaos(cfg chaosConfig) {
 	res.Gates.Availability = res.Availability >= cfg.minAvailability
 	res.Gates.WarmRestart = res.Victim.SnapshotEntries > 0 && res.Victim.SnapshotWarmHits > 0
 
-	data, err := json.MarshalIndent(res, "", "  ")
-	if err != nil {
-		fatal(err)
-	}
-	data = append(data, '\n')
-	if cfg.out == "" {
-		os.Stdout.Write(data)
-	} else {
-		if dir := filepath.Dir(cfg.out); dir != "." {
-			if err := os.MkdirAll(dir, 0o755); err != nil {
-				fatal(err)
-			}
-		}
-		if err := os.WriteFile(cfg.out, data, 0o644); err != nil {
-			fatal(err)
-		}
-	}
-
-	fmt.Fprintf(os.Stderr, "rolag-loadgen -chaos: %d/%d ok (availability %.4f), parity %d/%d, "+
+	out := &outcome{record: res}
+	out.note("chaos: %d/%d ok (availability %.4f), parity %d/%d, "+
 		"%d degraded (%d failovers), hedge p/h/f %d/%d/%d, victim %s down %.0fms "+
-		"(snapshot entries %d, warm hits %d)\n",
+		"(snapshot entries %d, warm hits %d)",
 		res.Completed, res.Issued, res.Availability,
 		res.Parity.Checked-res.Parity.Mismatched, res.Parity.Checked,
 		res.Degraded, res.Failovers,
 		res.Hedge.PrimaryWins, res.Hedge.HedgeWins, res.Hedge.BothFailed,
 		res.Victim.Shard, res.Victim.DownMs,
 		res.Victim.SnapshotEntries, res.Victim.SnapshotWarmHits)
-
-	failed := false
 	if !res.Gates.Parity {
-		fmt.Fprintf(os.Stderr, "rolag-loadgen: GATE parity failed: %d mismatched of %d checked\n",
-			res.Parity.Mismatched, res.Parity.Checked)
-		failed = true
+		out.fail("GATE parity failed: %d mismatched of %d checked", res.Parity.Mismatched, res.Parity.Checked)
 	}
 	if !res.Gates.Availability {
-		fmt.Fprintf(os.Stderr, "rolag-loadgen: GATE availability failed: %.4f < %.4f\n",
-			res.Availability, cfg.minAvailability)
-		failed = true
+		out.fail("GATE availability failed: %.4f < %.4f", res.Availability, cfg.minAvailability)
 	}
 	if !res.Gates.WarmRestart {
-		fmt.Fprintf(os.Stderr, "rolag-loadgen: GATE warm-restart failed: victim loaded %d entries, served %d warm hits\n",
+		out.fail("GATE warm-restart failed: victim loaded %d entries, served %d warm hits",
 			res.Victim.SnapshotEntries, res.Victim.SnapshotWarmHits)
-		failed = true
 	}
-	if failed {
-		os.Exit(1)
-	}
+	return out, nil
 }
 
 // keyFor computes a corpus function's routing key the way the router
 // does.
-func keyFor(fn *angha.Function) string {
+func keyFor(fn *angha.Function) (string, error) {
 	sreq, err := (&rolagdapi.CompileRequest{Source: fn.Src}).ToService()
 	if err != nil {
-		fatal(err)
+		return "", err
 	}
-	return service.Key(&sreq)
+	return service.Key(&sreq), nil
 }
 
 // engineDegraded reports whether a response is degraded by anything
 // other than router failover — the only degradation that may change
 // bytes and is therefore parity-exempt.
 func engineDegraded(resp *rolagdapi.CompileResponse) bool {
-	if !resp.Degraded {
-		return false
-	}
-	for _, p := range resp.DegradedPasses {
-		if p != cluster.FailoverPass {
-			return true
-		}
-	}
-	return false
+	return resp.Degraded && slices.ContainsFunc(resp.DegradedPasses, func(p string) bool { return p != cluster.FailoverPass })
 }
 
 // waitForSnapshot blocks until the shard has written at least one
 // periodic snapshot, forcing one if the ticker hasn't fired in time —
 // the crash must not be allowed to outrun the victim's only memory.
-func waitForSnapshot(s *chaosShard, within time.Duration) {
+func waitForSnapshot(s *shard, within time.Duration) error {
 	deadline := time.Now().Add(within)
 	for time.Now().Before(deadline) {
 		if s.daemon().Engine().Metrics().SnapshotSaves > 0 {
-			return
+			return nil
 		}
 		time.Sleep(20 * time.Millisecond)
 	}
 	if _, err := s.daemon().SaveSnapshotNow(); err != nil {
-		fatal(fmt.Errorf("forcing victim snapshot: %w", err))
+		return fmt.Errorf("forcing victim snapshot: %w", err)
 	}
+	return nil
 }

@@ -21,60 +21,29 @@ package main
 
 import (
 	"context"
-	"encoding/json"
-	"fmt"
 	"io"
 	"log/slog"
-	"math/rand"
-	"net"
 	"net/http"
-	"os"
-	"path/filepath"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"rolag/internal/cluster"
-	"rolag/internal/daemon"
 	"rolag/internal/obs"
 	"rolag/internal/obs/fleet"
 	"rolag/internal/rolagdapi"
-	"rolag/internal/service"
 	"rolag/internal/workloads/angha"
 )
 
 // FleetSchema identifies the BENCH_fleet.json layout.
 const FleetSchema = "rolag/fleet-bench/v1"
 
-type fleetConfig struct {
-	shards, workers, n int
-	seed               int64
-	requests           int
-	rate               float64
-	zipfS              float64
-	timeout            time.Duration
-	out                string
-
-	sample      int     // stitched-trace checks after the burst
-	minComplete float64 // trace-completeness gate
-	p99Ratio    float64 // histogram-consistency ratio allowance
-	p99FloorMs  float64 // histogram-consistency absolute allowance
-	traceBuf    int     // per-process span ring capacity
-}
-
 // FleetResult is the machine-readable fleet-telemetry record.
 type FleetResult struct {
 	Schema string `json:"schema"`
 	Config struct {
-		Shards   int     `json:"shards"`
-		Workers  int     `json:"workers"`
-		CorpusN  int     `json:"corpus_n"`
-		Seed     int64   `json:"seed"`
-		Requests int     `json:"requests"`
-		Rate     float64 `json:"rate_per_sec"`
-		ZipfS    float64 `json:"zipf_s"`
-		TraceBuf int     `json:"trace_buf"`
+		burstConfig
+		TraceBuf int `json:"trace_buf"`
 	} `json:"config"`
 	Completed int64 `json:"completed"`
 	Errors    int64 `json:"errors"`
@@ -98,8 +67,8 @@ type FleetResult struct {
 	} `json:"gates"`
 }
 
-func runFleet(cfg fleetConfig) {
-	logger := slog.New(slog.NewTextHandler(os.Stderr, &slog.HandlerOptions{Level: slog.LevelWarn}))
+func runFleet(cfg *config) (*outcome, error) {
+	logger := newLogger(slog.LevelWarn)
 
 	// One ring per process. Everything here shares one address space,
 	// so without private rings every "process" would export every span
@@ -108,104 +77,48 @@ func runFleet(cfg fleetConfig) {
 	defer obs.EnableTracing(false)
 
 	res := &FleetResult{Schema: FleetSchema}
-	res.Config.Shards = cfg.shards
-	res.Config.Workers = cfg.workers
-	res.Config.CorpusN = cfg.n
-	res.Config.Seed = cfg.seed
-	res.Config.Requests = cfg.requests
-	res.Config.Rate = cfg.rate
-	res.Config.ZipfS = cfg.zipfS
+	res.Config.burstConfig = cfg.burst()
 	res.Config.TraceBuf = cfg.traceBuf
 
 	corpus := angha.Generate(cfg.n, cfg.seed)
-
-	lns := make([]net.Listener, cfg.shards)
-	peers := make(map[string]string, cfg.shards)
-	names := make([]string, cfg.shards)
-	for i := range lns {
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			fatal(err)
-		}
-		lns[i] = ln
-		names[i] = fmt.Sprintf("shard-%c", 'a'+i)
-		peers[names[i]] = "http://" + ln.Addr().String()
-	}
-	for i := range lns {
-		d := daemon.New(daemon.Config{
-			Engine:     service.Config{Workers: cfg.workers},
-			RequestCap: cfg.timeout,
-			Log:        logger,
-			ShardID:    names[i],
-			Peers:      peers,
-			TraceRing:  obs.NewTraceRing(cfg.traceBuf),
-		})
-		go (&http.Server{Handler: d.Handler()}).Serve(lns[i])
-	}
-	rt, err := cluster.New(cluster.Config{
-		Shards:    peers,
-		Log:       logger,
-		Hedge:     true,
-		TraceRing: obs.NewTraceRing(cfg.traceBuf),
+	f, err := startFleet(cfg, logger, fleetOpts{
+		traceBuf: cfg.traceBuf,
+		router:   func(map[string]string) cluster.Config { return cluster.Config{Hedge: true} },
 	})
 	if err != nil {
-		fatal(err)
+		return nil, err
 	}
-	rln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		fatal(err)
-	}
-	go (&http.Server{Handler: rt.Handler()}).Serve(rln)
-	routerURL := "http://" + rln.Addr().String()
-	routerClient := &rolagdapi.Client{BaseURL: routerURL}
-
-	zrng := rand.New(rand.NewSource(cfg.seed + 1))
-	zipf := rand.NewZipf(zrng, cfg.zipfS, 1, uint64(cfg.n-1))
-	arng := rand.New(rand.NewSource(cfg.seed + 2))
+	defer f.close()
 
 	var (
 		mu       sync.Mutex
 		traceIDs []string
-		wg       sync.WaitGroup
-
-		completed, errs atomic.Int64
 	)
-	for i := 0; i < cfg.requests; i++ {
-		time.Sleep(time.Duration(arng.ExpFloat64() / cfg.rate * float64(time.Second)))
-		idx := int(zipf.Uint64())
-		wg.Add(1)
-		go func(idx int) {
-			defer wg.Done()
-			ctx, cancel := context.WithTimeout(context.Background(), cfg.timeout)
-			defer cancel()
-			resp, err := routerClient.Compile(ctx, &rolagdapi.CompileRequest{Source: corpus[idx].Src})
-			if err != nil {
-				errs.Add(1)
-				return
-			}
-			completed.Add(1)
+	b, err := drive(cfg, f, corpus, burstHooks{
+		respond: func(_ int, resp *rolagdapi.CompileResponse) {
 			if resp.TraceID != "" {
 				mu.Lock()
 				traceIDs = append(traceIDs, resp.TraceID)
 				mu.Unlock()
 			}
-		}(idx)
+		},
+	})
+	if err != nil {
+		return nil, err
 	}
-	wg.Wait()
-	res.Completed = completed.Load()
-	res.Errors = errs.Load()
+	res.Completed, res.Errors = b.completed, b.errors
 
 	// Trace completeness over the most recent -trace-sample requests
 	// (recent, because old traces legitimately age out of a bounded
 	// ring; sampling the tail measures the plane, not ring capacity).
 	sample := traceIDs
-	if len(sample) > cfg.sample {
-		sample = sample[len(sample)-cfg.sample:]
+	if len(sample) > cfg.traceSample {
+		sample = sample[len(sample)-cfg.traceSample:]
 	}
 	httpc := &http.Client{Timeout: 10 * time.Second}
 	stitched := 0
 	for _, id := range sample {
-		resp, err := httpc.Get(routerURL + "/debug/trace/" + id)
+		resp, err := httpc.Get(f.client.BaseURL + "/debug/trace/" + id)
 		if err != nil {
 			continue
 		}
@@ -230,13 +143,14 @@ func runFleet(cfg fleetConfig) {
 	}
 	res.Trace.Sampled = len(sample)
 	res.Trace.Stitched = stitched
-	res.Trace.MinComplete = cfg.minComplete
+	res.Trace.MinComplete = cfg.minTraceComplete
 	if len(sample) > 0 {
 		res.Trace.Completeness = float64(stitched) / float64(len(sample))
 	}
 
 	// Histogram consistency: router-observed vs fleet-merged p99 for
 	// /v1/compile, after a synchronous scrape so the merge is current.
+	rt := f.router
 	scrapeCtx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	rt.ScrapeNow(scrapeCtx)
 	cancel()
@@ -250,52 +164,28 @@ func runFleet(cfg fleetConfig) {
 	fleetP99 := rt.FleetRouteHist("/v1/compile").Quantile(0.99) * 1e3
 	res.Latency.RouterP99Ms = routerP99
 	res.Latency.FleetP99Ms = fleetP99
-	res.Latency.RatioLimit = cfg.p99Ratio
-	res.Latency.FloorMs = cfg.p99FloorMs
+	res.Latency.RatioLimit = cfg.fleetP99Ratio
+	res.Latency.FloorMs = cfg.fleetP99Floor
 
-	within := func(a, b float64) bool { return a <= b*cfg.p99Ratio+cfg.p99FloorMs }
+	within := func(a, b float64) bool { return a <= b*cfg.fleetP99Ratio+cfg.fleetP99Floor }
 	res.Gates.P99Consistent = routerP99 > 0 && fleetP99 > 0 &&
 		within(routerP99, fleetP99) && within(fleetP99, routerP99)
-	res.Gates.TraceComplete = res.Trace.Sampled > 0 && res.Trace.Completeness >= cfg.minComplete
+	res.Gates.TraceComplete = res.Trace.Sampled > 0 && res.Trace.Completeness >= cfg.minTraceComplete
 
-	data, err := json.MarshalIndent(res, "", "  ")
-	if err != nil {
-		fatal(err)
-	}
-	data = append(data, '\n')
-	if cfg.out == "" {
-		os.Stdout.Write(data)
-	} else {
-		if dir := filepath.Dir(cfg.out); dir != "." {
-			if err := os.MkdirAll(dir, 0o755); err != nil {
-				fatal(err)
-			}
-		}
-		if err := os.WriteFile(cfg.out, data, 0o644); err != nil {
-			fatal(err)
-		}
-	}
-	fmt.Fprintf(os.Stderr, "rolag-loadgen: fleet: %d/%d ok, traces %d/%d stitched (%.1f%%), "+
-		"p99 router %.1fms vs fleet %.1fms, hedge won %d, dropped spans %d\n",
+	out := &outcome{record: res}
+	out.note("fleet: %d/%d ok, traces %d/%d stitched (%.1f%%), "+
+		"p99 router %.1fms vs fleet %.1fms, hedge won %d, dropped spans %d",
 		res.Completed, cfg.requests, stitched, len(sample), res.Trace.Completeness*100,
 		routerP99, fleetP99, res.Router.HedgeWins, res.Trace.DroppedSpans)
-
-	failed := false
 	if res.Errors > 0 {
-		fmt.Fprintf(os.Stderr, "rolag-loadgen: fleet: %d requests failed\n", res.Errors)
-		failed = true
+		out.fail("fleet: %d requests failed", res.Errors)
 	}
 	if !res.Gates.TraceComplete {
-		fmt.Fprintf(os.Stderr, "rolag-loadgen: fleet: trace completeness %.3f below gate %.3f\n",
-			res.Trace.Completeness, cfg.minComplete)
-		failed = true
+		out.fail("fleet: trace completeness %.3f below gate %.3f", res.Trace.Completeness, cfg.minTraceComplete)
 	}
 	if !res.Gates.P99Consistent {
-		fmt.Fprintf(os.Stderr, "rolag-loadgen: fleet: p99 inconsistent: router %.1fms vs fleet %.1fms "+
-			"(limit %.1fx + %.0fms)\n", routerP99, fleetP99, cfg.p99Ratio, cfg.p99FloorMs)
-		failed = true
+		out.fail("fleet: p99 inconsistent: router %.1fms vs fleet %.1fms "+
+			"(limit %.1fx + %.0fms)", routerP99, fleetP99, cfg.fleetP99Ratio, cfg.fleetP99Floor)
 	}
-	if failed {
-		os.Exit(1)
-	}
+	return out, nil
 }

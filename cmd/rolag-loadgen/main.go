@@ -17,6 +17,13 @@
 //	              [-chaos [-chaos-net-prob 0.02] [-chaos-kill-frac 0.35]
 //	               [-chaos-restart-delay 600ms] [-chaos-snapshot-interval 250ms]
 //	               [-min-availability 0.99]]
+//	              [-fleet [-trace-sample 200] [-min-trace-complete 0.99]
+//	               [-fleet-p99-ratio 3] [-fleet-p99-floor 50] [-fleet-trace-buf 65536]]
+//
+// The three modes — this benchmark, -chaos (chaos.go) and -fleet
+// (fleet.go) — share one local fleet and one burst driver (harness.go)
+// and differ only in how they configure the fleet, route requests,
+// judge responses and gate the run.
 //
 // Traffic shape: arrivals are Poisson at -rate requests/sec (open loop:
 // a slow cluster does not slow the generator down, so overload shows up
@@ -32,29 +39,21 @@
 // fails the run. -require-peer-hits additionally fails the run when the
 // fleet reports zero peer-cache hits. With -check, p99 latency,
 // functions/sec, and the cluster hit rate are gated against a committed
-// baseline.
+// baseline. Out-of-range flags exit with status 2 before any work.
 package main
 
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"log/slog"
-	"math/rand"
-	"net"
-	"net/http"
 	"os"
 	"path/filepath"
-	"sort"
-	"sync"
-	"sync/atomic"
 	"time"
 
-	"rolag/internal/cluster"
-	"rolag/internal/daemon"
 	"rolag/internal/rolagdapi"
-	"rolag/internal/service"
 	"rolag/internal/workloads/angha"
 )
 
@@ -66,13 +65,7 @@ const Schema = "rolag/cluster-bench/v1"
 type Result struct {
 	Schema string `json:"schema"`
 	Config struct {
-		Shards     int     `json:"shards"`
-		Workers    int     `json:"workers"`
-		CorpusN    int     `json:"corpus_n"`
-		Seed       int64   `json:"seed"`
-		Requests   int     `json:"requests"`
-		Rate       float64 `json:"rate_per_sec"`
-		ZipfS      float64 `json:"zipf_s"`
+		burstConfig
 		DirectFrac float64 `json:"direct_frac"`
 	} `json:"config"`
 	WallSeconds        float64 `json:"wall_seconds"`
@@ -91,319 +84,235 @@ type Result struct {
 	// rate the daemons themselves report, not one inferred client-side.
 	Cluster rolagdapi.CacheStats `json:"cluster"`
 	HitRate float64              `json:"hit_rate"`
-	Parity  struct {
-		Checked    int64 `json:"checked"`
-		Mismatched int64 `json:"mismatched"`
-	} `json:"parity"`
+	Parity  parityCount          `json:"parity"`
+}
+
+// burstConfig leads every record's config: the fleet and its traffic.
+type burstConfig struct {
+	Shards   int     `json:"shards"`
+	Workers  int     `json:"workers"`
+	CorpusN  int     `json:"corpus_n"`
+	Seed     int64   `json:"seed"`
+	Requests int     `json:"requests"`
+	Rate     float64 `json:"rate_per_sec"`
+	ZipfS    float64 `json:"zipf_s"`
+}
+
+// config holds every flag; each mode reads the ones it uses.
+type config struct {
+	shards, workers, n, requests int
+	seed                         int64
+	rate, zipfS, directFrac      float64
+	timeout                      time.Duration
+	out                          string
+
+	requirePeerHits           bool
+	check                     string
+	maxSlowdown, hitRateSlack float64
+
+	fleet                        bool
+	traceSample, traceBuf        int
+	minTraceComplete             float64
+	fleetP99Ratio, fleetP99Floor float64
+
+	chaos                      bool
+	netProb, killFrac          float64
+	restartDelay, snapInterval time.Duration
+	minAvailability            float64
+}
+
+// flags registers every option on fs and returns the config they fill
+// once fs is parsed.
+func flags(fs *flag.FlagSet) *config {
+	c := &config{}
+	fs.IntVar(&c.shards, "shards", 3, "rolagd replicas to spawn")
+	fs.IntVar(&c.workers, "workers", 2, "engine workers per shard")
+	fs.IntVar(&c.n, "n", 400, "angha corpus size (distinct functions)")
+	fs.Int64Var(&c.seed, "seed", 20220402, "corpus and traffic seed")
+	fs.IntVar(&c.requests, "requests", 2000, "total requests to issue")
+	fs.Float64Var(&c.rate, "rate", 200, "open-loop Poisson arrival rate, requests/sec")
+	fs.Float64Var(&c.zipfS, "zipf-s", 1.2, "zipf exponent for key popularity (>1)")
+	fs.Float64Var(&c.directFrac, "direct-frac", 0.25, "fraction of requests sent to a round-robin shard instead of the router")
+	fs.DurationVar(&c.timeout, "timeout", 30*time.Second, "per-request deadline")
+	fs.StringVar(&c.out, "out", "", "write the result JSON here (default stdout)")
+	fs.BoolVar(&c.requirePeerHits, "require-peer-hits", false, "fail unless the fleet reports >0 peer-cache hits")
+	fs.StringVar(&c.check, "check", "", "baseline JSON to gate against (exit 1 on regression)")
+	fs.Float64Var(&c.maxSlowdown, "max-slowdown", 3, "allowed p99 and functions/sec ratio vs the -check baseline")
+	fs.Float64Var(&c.hitRateSlack, "hit-rate-slack", 0.2, "allowed absolute hit-rate drop vs the -check baseline")
+	fs.BoolVar(&c.fleet, "fleet", false, "run the fleet-telemetry benchmark with its SLO gates instead of the main benchmark (see fleet.go)")
+	fs.IntVar(&c.traceSample, "trace-sample", 200, "requests whose stitched traces the -fleet completeness gate samples")
+	fs.Float64Var(&c.minTraceComplete, "min-trace-complete", 0.99, "-fleet gate: fraction of sampled traces that must stitch router + ≥1 shard")
+	fs.Float64Var(&c.fleetP99Ratio, "fleet-p99-ratio", 3, "-fleet gate: allowed ratio between router-observed and fleet-merged p99")
+	fs.Float64Var(&c.fleetP99Floor, "fleet-p99-floor", 50, "-fleet gate: absolute p99 disagreement allowance, ms")
+	fs.IntVar(&c.traceBuf, "fleet-trace-buf", 65536, "per-process span ring capacity in -fleet")
+	fs.BoolVar(&c.chaos, "chaos", false, "run the cluster chaos harness instead of the benchmark (see chaos.go)")
+	fs.Float64Var(&c.netProb, "chaos-net-prob", 0.02, "per-link fault probability (stall/refuse/blackhole) in -chaos")
+	fs.Float64Var(&c.killFrac, "chaos-kill-frac", 0.35, "fraction of the run after which the victim shard is crashed")
+	fs.DurationVar(&c.restartDelay, "chaos-restart-delay", 600*time.Millisecond, "victim downtime before restart")
+	fs.DurationVar(&c.snapInterval, "chaos-snapshot-interval", 250*time.Millisecond, "shard periodic snapshot cadence in -chaos")
+	fs.Float64Var(&c.minAvailability, "min-availability", 0.99, "chaos gate: completed/issued must reach this")
+	return c
+}
+
+// validate rejects flag values no mode can run with. The comparisons
+// are written so NaN fails them too.
+func (c *config) validate() error {
+	switch {
+	case c.n < 1:
+		return errors.New("-n must be at least 1")
+	case c.requests < 1:
+		return errors.New("-requests must be at least 1")
+	case c.shards < 1:
+		return errors.New("-shards must be at least 1")
+	case c.workers < 1:
+		return errors.New("-workers must be at least 1")
+	case !(c.rate > 0):
+		return errors.New("-rate must be above 0")
+	case !(c.zipfS > 1):
+		return errors.New("-zipf-s must be above 1")
+	case !(c.directFrac >= 0 && c.directFrac <= 1):
+		return errors.New("-direct-frac must be within [0, 1]")
+	case !(c.killFrac > 0 && c.killFrac < 1):
+		return errors.New("-chaos-kill-frac must be within (0, 1)")
+	}
+	return nil
+}
+
+func (c *config) burst() burstConfig {
+	return burstConfig{c.shards, c.workers, c.n, c.seed, c.requests, c.rate, c.zipfS}
+}
+
+// outcome is one mode's run: the record to write, the summary lines to
+// report, and the message of every gate that failed.
+type outcome struct {
+	record  any
+	summary []string
+	failed  []string
+}
+
+func (o *outcome) note(format string, args ...any) {
+	o.summary = append(o.summary, fmt.Sprintf(format, args...))
+}
+
+func (o *outcome) fail(format string, args ...any) {
+	o.failed = append(o.failed, fmt.Sprintf(format, args...))
 }
 
 func main() {
-	shards := flag.Int("shards", 3, "rolagd replicas to spawn")
-	workers := flag.Int("workers", 2, "engine workers per shard")
-	n := flag.Int("n", 400, "angha corpus size (distinct functions)")
-	seed := flag.Int64("seed", 20220402, "corpus and traffic seed")
-	requests := flag.Int("requests", 2000, "total requests to issue")
-	rate := flag.Float64("rate", 200, "open-loop Poisson arrival rate, requests/sec")
-	zipfS := flag.Float64("zipf-s", 1.2, "zipf exponent for key popularity (>1)")
-	directFrac := flag.Float64("direct-frac", 0.25, "fraction of requests sent to a round-robin shard instead of the router")
-	timeout := flag.Duration("timeout", 30*time.Second, "per-request deadline")
-	out := flag.String("out", "", "write the result JSON here (default stdout)")
-	requirePeerHits := flag.Bool("require-peer-hits", false, "fail unless the fleet reports >0 peer-cache hits")
-	check := flag.String("check", "", "baseline JSON to gate against (exit 1 on regression)")
-	maxSlowdown := flag.Float64("max-slowdown", 3, "allowed p99 and functions/sec ratio vs the -check baseline")
-	hitRateSlack := flag.Float64("hit-rate-slack", 0.2, "allowed absolute hit-rate drop vs the -check baseline")
-	fleetMode := flag.Bool("fleet", false, "run the fleet-telemetry benchmark with its SLO gates instead of the main benchmark (see fleet.go)")
-	traceSample := flag.Int("trace-sample", 200, "requests whose stitched traces the -fleet completeness gate samples")
-	minTraceComplete := flag.Float64("min-trace-complete", 0.99, "-fleet gate: fraction of sampled traces that must stitch router + ≥1 shard")
-	fleetP99Ratio := flag.Float64("fleet-p99-ratio", 3, "-fleet gate: allowed ratio between router-observed and fleet-merged p99")
-	fleetP99Floor := flag.Float64("fleet-p99-floor", 50, "-fleet gate: absolute p99 disagreement allowance, ms")
-	fleetTraceBuf := flag.Int("fleet-trace-buf", 65536, "per-process span ring capacity in -fleet")
-	chaos := flag.Bool("chaos", false, "run the cluster chaos harness instead of the benchmark (see chaos.go)")
-	chaosNetProb := flag.Float64("chaos-net-prob", 0.02, "per-link fault probability (stall/refuse/blackhole) in -chaos")
-	chaosKillFrac := flag.Float64("chaos-kill-frac", 0.35, "fraction of the run after which the victim shard is crashed")
-	chaosRestartDelay := flag.Duration("chaos-restart-delay", 600*time.Millisecond, "victim downtime before restart")
-	chaosSnapInterval := flag.Duration("chaos-snapshot-interval", 250*time.Millisecond, "shard periodic snapshot cadence in -chaos")
-	minAvailability := flag.Float64("min-availability", 0.99, "chaos gate: completed/issued must reach this")
+	cfg := flags(flag.CommandLine)
 	flag.Parse()
-
-	if *fleetMode {
-		runFleet(fleetConfig{
-			shards:      *shards,
-			workers:     *workers,
-			n:           *n,
-			seed:        *seed,
-			requests:    *requests,
-			rate:        *rate,
-			zipfS:       *zipfS,
-			timeout:     *timeout,
-			out:         *out,
-			sample:      *traceSample,
-			minComplete: *minTraceComplete,
-			p99Ratio:    *fleetP99Ratio,
-			p99FloorMs:  *fleetP99Floor,
-			traceBuf:    *fleetTraceBuf,
-		})
-		return
+	if err := cfg.validate(); err != nil {
+		fmt.Fprintf(os.Stderr, "rolag-loadgen: %v\n", err)
+		os.Exit(2)
 	}
-
-	if *chaos {
-		runChaos(chaosConfig{
-			shards:          *shards,
-			workers:         *workers,
-			n:               *n,
-			requests:        *requests,
-			seed:            *seed,
-			rate:            *rate,
-			zipfS:           *zipfS,
-			netProb:         *chaosNetProb,
-			killFrac:        *chaosKillFrac,
-			restartDelay:    *chaosRestartDelay,
-			snapInterval:    *chaosSnapInterval,
-			minAvailability: *minAvailability,
-			timeout:         *timeout,
-			out:             *out,
-		})
-		return
+	run := runCluster
+	switch {
+	case cfg.fleet:
+		run = runFleet
+	case cfg.chaos:
+		run = runChaos
 	}
-
-	logger := slog.New(slog.NewTextHandler(os.Stderr, &slog.HandlerOptions{Level: slog.LevelWarn}))
-
-	res := &Result{Schema: Schema}
-	res.Config.Shards = *shards
-	res.Config.Workers = *workers
-	res.Config.CorpusN = *n
-	res.Config.Seed = *seed
-	res.Config.Requests = *requests
-	res.Config.Rate = *rate
-	res.Config.ZipfS = *zipfS
-	res.Config.DirectFrac = *directFrac
-
-	corpus := angha.Generate(*n, *seed)
-
-	// Serial reference: every distinct function through one standalone
-	// daemon — the byte-level ground truth the cluster must match.
-	refIR := serialReference(corpus, *workers, logger)
-
-	// Local cluster on loopback: listeners first (membership URLs must
-	// exist before any daemon is built), then daemons, then serve.
-	lns := make([]net.Listener, *shards)
-	peers := make(map[string]string, *shards)
-	names := make([]string, *shards)
-	for i := range lns {
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			fatal(err)
-		}
-		lns[i] = ln
-		names[i] = fmt.Sprintf("shard-%c", 'a'+i)
-		peers[names[i]] = "http://" + ln.Addr().String()
+	out, err := run(cfg)
+	if err == nil {
+		err = writeRecord(cfg.out, out.record)
 	}
-	daemons := make([]*daemon.Daemon, *shards)
-	for i := range daemons {
-		daemons[i] = daemon.New(daemon.Config{
-			Engine:     service.Config{Workers: *workers},
-			RequestCap: *timeout,
-			Log:        logger,
-			ShardID:    names[i],
-			Peers:      peers,
-		})
-		srv := &http.Server{Handler: daemons[i].Handler()}
-		go srv.Serve(lns[i])
-	}
-	rt, err := cluster.New(cluster.Config{Shards: peers, Log: logger})
 	if err != nil {
-		fatal(err)
+		fmt.Fprintf(os.Stderr, "rolag-loadgen: %v\n", err)
+		os.Exit(1)
 	}
-	rln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		fatal(err)
+	for _, line := range append(out.summary, out.failed...) {
+		fmt.Fprintf(os.Stderr, "rolag-loadgen: %s\n", line)
 	}
-	go (&http.Server{Handler: rt.Handler()}).Serve(rln)
-
-	routerClient := &rolagdapi.Client{BaseURL: "http://" + rln.Addr().String()}
-	shardClients := make([]*rolagdapi.Client, *shards)
-	for i, name := range names {
-		shardClients[i] = &rolagdapi.Client{BaseURL: peers[name]}
-	}
-
-	// Open-loop zipfian traffic. The pick/arrival streams are seeded so
-	// the request sequence is reproducible; timing of course is not.
-	zrng := rand.New(rand.NewSource(*seed + 1))
-	zipf := rand.NewZipf(zrng, *zipfS, 1, uint64(*n-1))
-	arng := rand.New(rand.NewSource(*seed + 2))
-
-	var (
-		mu        sync.Mutex
-		latencies []float64
-		wg        sync.WaitGroup
-
-		completed, errs, degraded atomic.Int64
-		failovers, checked        atomic.Int64
-		mismatched                atomic.Int64
-	)
-	start := time.Now()
-	for i := 0; i < *requests; i++ {
-		// Poisson arrivals: exponential inter-arrival at the target rate.
-		time.Sleep(time.Duration(arng.ExpFloat64() / *rate * float64(time.Second)))
-		idx := int(zipf.Uint64())
-		c := routerClient
-		if zrng.Float64() < *directFrac {
-			c = shardClients[i%len(shardClients)]
-		}
-		wg.Add(1)
-		go func(idx int, c *rolagdapi.Client) {
-			defer wg.Done()
-			ctx, cancel := context.WithTimeout(context.Background(), *timeout)
-			defer cancel()
-			t0 := time.Now()
-			resp, err := c.Compile(ctx, &rolagdapi.CompileRequest{Source: corpus[idx].Src})
-			lat := time.Since(t0).Seconds() * 1000
-			if err != nil {
-				errs.Add(1)
-				return
-			}
-			completed.Add(1)
-			mu.Lock()
-			latencies = append(latencies, lat)
-			mu.Unlock()
-			if resp.Degraded {
-				degraded.Add(1)
-				for _, p := range resp.DegradedPasses {
-					if p == cluster.FailoverPass {
-						failovers.Add(1)
-						break
-					}
-				}
-				return // degraded results are exempt from byte parity
-			}
-			checked.Add(1)
-			if resp.IR != refIR[idx] {
-				mismatched.Add(1)
-			}
-		}(idx, c)
-	}
-	wg.Wait()
-	res.WallSeconds = time.Since(start).Seconds()
-	res.Completed = completed.Load()
-	res.Errors = errs.Load()
-	res.Degraded = degraded.Load()
-	res.Failovers = failovers.Load()
-	res.Parity.Checked = checked.Load()
-	res.Parity.Mismatched = mismatched.Load()
-	if res.WallSeconds > 0 {
-		res.FunctionsPerSecond = float64(res.Completed) / res.WallSeconds
-	}
-	sort.Float64s(latencies)
-	res.Latency.P50Ms = pct(latencies, 50)
-	res.Latency.P90Ms = pct(latencies, 90)
-	res.Latency.P99Ms = pct(latencies, 99)
-	res.Latency.MaxMs = pct(latencies, 100)
-
-	// Cluster-wide counters straight from the daemons, via the router's
-	// /v1/cachestats aggregation.
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	cs, err := routerClient.CacheStats(ctx)
-	cancel()
-	if err != nil {
-		fatal(fmt.Errorf("cachestats: %w", err))
-	}
-	res.Cluster = *cs
-	res.HitRate = cs.HitRate()
-
-	data, err := json.MarshalIndent(res, "", "  ")
-	if err != nil {
-		fatal(err)
-	}
-	data = append(data, '\n')
-	if *out == "" {
-		os.Stdout.Write(data)
-	} else {
-		if dir := filepath.Dir(*out); dir != "." {
-			if err := os.MkdirAll(dir, 0o755); err != nil {
-				fatal(err)
-			}
-		}
-		if err := os.WriteFile(*out, data, 0o644); err != nil {
-			fatal(err)
-		}
-	}
-	fmt.Fprintf(os.Stderr, "rolag-loadgen: %d shards, %d/%d requests ok in %.1fs: "+
-		"p50 %.1fms p99 %.1fms, %.0f functions/sec, hit rate %.2f (peer hits %d, misses %d), "+
-		"%d degraded, parity %d/%d\n",
-		*shards, res.Completed, *requests, res.WallSeconds,
-		res.Latency.P50Ms, res.Latency.P99Ms, res.FunctionsPerSecond,
-		res.HitRate, cs.PeerHits, cs.PeerMisses,
-		res.Degraded, res.Parity.Checked-res.Parity.Mismatched, res.Parity.Checked)
-
-	failed := false
-	if res.Errors > 0 {
-		fmt.Fprintf(os.Stderr, "rolag-loadgen: %d requests failed\n", res.Errors)
-		failed = true
-	}
-	if res.Parity.Mismatched > 0 {
-		fmt.Fprintf(os.Stderr, "rolag-loadgen: %d non-degraded responses differ from the serial reference\n", res.Parity.Mismatched)
-		failed = true
-	}
-	if *requirePeerHits && cs.PeerHits == 0 {
-		fmt.Fprintln(os.Stderr, "rolag-loadgen: fleet reports zero peer-cache hits (-require-peer-hits)")
-		failed = true
-	}
-	if *check != "" {
-		if err := gate(res, *check, *maxSlowdown, *hitRateSlack); err != nil {
-			fmt.Fprintf(os.Stderr, "rolag-loadgen: %v\n", err)
-			failed = true
-		}
-	}
-	if failed {
+	if len(out.failed) > 0 {
 		os.Exit(1)
 	}
 }
 
-// serialReference compiles every corpus function once on a standalone
-// daemon over real HTTP — the same wire path the cluster serves.
-func serialReference(corpus []angha.Function, workers int, logger *slog.Logger) []string {
-	d := daemon.New(daemon.Config{
-		Engine:     service.Config{Workers: workers},
-		RequestCap: time.Minute,
-		Log:        logger,
-	})
-	defer d.Close(context.Background())
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
+// runCluster is the main benchmark: a -direct-frac share of the burst
+// goes shard-direct (exercising the peer cache), and every non-degraded
+// response must match the serial reference byte for byte.
+func runCluster(cfg *config) (*outcome, error) {
+	logger := newLogger(slog.LevelWarn)
+
+	res := &Result{Schema: Schema}
+	res.Config.burstConfig = cfg.burst()
+	res.Config.DirectFrac = cfg.directFrac
+
+	corpus := angha.Generate(cfg.n, cfg.seed)
+	par, err := serialReference(corpus, cfg.workers, logger)
 	if err != nil {
-		fatal(err)
+		return nil, err
 	}
-	srv := &http.Server{Handler: d.Handler()}
-	go srv.Serve(ln)
-	defer srv.Close()
-	c := &rolagdapi.Client{BaseURL: "http://" + ln.Addr().String()}
+	f, err := startFleet(cfg, logger, fleetOpts{})
+	if err != nil {
+		return nil, err
+	}
+	defer f.close()
 
-	out := make([]string, len(corpus))
-	for i, fn := range corpus {
-		resp, err := c.Compile(context.Background(), &rolagdapi.CompileRequest{Source: fn.Src})
-		if err != nil {
-			fatal(fmt.Errorf("serial reference %s: %w", fn.Name, err))
+	b, err := drive(cfg, f, corpus, burstHooks{
+		route: directRoute(cfg.directFrac, cfg.shards),
+		respond: func(idx int, resp *rolagdapi.CompileResponse) {
+			if !resp.Degraded { // degraded results are exempt from byte parity
+				par.check(idx, resp.IR)
+			}
+		},
+	})
+	if err != nil {
+		return nil, err
+	}
+	res.WallSeconds = b.wall.Seconds()
+	res.Completed, res.Errors = b.completed, b.errors
+	res.Degraded, res.Failovers = b.degraded, b.failovers
+	res.Parity = par.count()
+	if res.WallSeconds > 0 {
+		res.FunctionsPerSecond = float64(res.Completed) / res.WallSeconds
+	}
+	res.Latency.P50Ms = b.pct(50)
+	res.Latency.P90Ms = b.pct(90)
+	res.Latency.P99Ms = b.pct(99)
+	res.Latency.MaxMs = b.pct(100)
+
+	// Cluster-wide counters straight from the daemons, via the router's
+	// /v1/cachestats aggregation.
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	cs, err := f.client.CacheStats(ctx)
+	cancel()
+	if err != nil {
+		return nil, fmt.Errorf("cachestats: %w", err)
+	}
+	res.Cluster = *cs
+	res.HitRate = cs.HitRate()
+
+	out := &outcome{record: res}
+	out.note("%d shards, %d/%d requests ok in %.1fs: "+
+		"p50 %.1fms p99 %.1fms, %.0f functions/sec, hit rate %.2f (peer hits %d, misses %d), "+
+		"%d degraded, parity %d/%d",
+		cfg.shards, res.Completed, cfg.requests, res.WallSeconds,
+		res.Latency.P50Ms, res.Latency.P99Ms, res.FunctionsPerSecond,
+		res.HitRate, cs.PeerHits, cs.PeerMisses,
+		res.Degraded, res.Parity.Checked-res.Parity.Mismatched, res.Parity.Checked)
+	if res.Errors > 0 {
+		out.fail("%d requests failed", res.Errors)
+	}
+	if res.Parity.Mismatched > 0 {
+		out.fail("%d non-degraded responses differ from the serial reference", res.Parity.Mismatched)
+	}
+	if cfg.requirePeerHits && cs.PeerHits == 0 {
+		out.fail("fleet reports zero peer-cache hits (-require-peer-hits)")
+	}
+	if cfg.check != "" {
+		if err := gate(out, res, cfg.check, cfg.maxSlowdown, cfg.hitRateSlack); err != nil {
+			out.fail("%v", err)
 		}
-		out[i] = resp.IR
 	}
-	return out
-}
-
-// pct reads the p-th percentile from an ascending slice.
-func pct(sorted []float64, p float64) float64 {
-	if len(sorted) == 0 {
-		return 0
-	}
-	i := int(p / 100 * float64(len(sorted)))
-	if i >= len(sorted) {
-		i = len(sorted) - 1
-	}
-	return sorted[i]
+	return out, nil
 }
 
 // gate compares the run against a committed baseline: p99 latency and
 // functions/sec may move by at most maxSlowdown×, the daemon-reported
-// cluster hit rate by at most hitRateSlack absolute.
-func gate(res *Result, baselinePath string, maxSlowdown, hitRateSlack float64) error {
+// cluster hit rate by at most hitRateSlack absolute. The comparisons
+// it makes are noted on out.
+func gate(out *outcome, res *Result, baselinePath string, maxSlowdown, hitRateSlack float64) error {
 	data, err := os.ReadFile(baselinePath)
 	if err != nil {
 		return fmt.Errorf("baseline: %w", err)
@@ -417,7 +326,7 @@ func gate(res *Result, baselinePath string, maxSlowdown, hitRateSlack float64) e
 	}
 	if base.Latency.P99Ms > 0 {
 		ratio := res.Latency.P99Ms / base.Latency.P99Ms
-		fmt.Fprintf(os.Stderr, "rolag-loadgen: p99 %.1fms vs baseline %.1fms (ratio %.2fx, limit %.2fx)\n",
+		out.note("p99 %.1fms vs baseline %.1fms (ratio %.2fx, limit %.2fx)",
 			res.Latency.P99Ms, base.Latency.P99Ms, ratio, maxSlowdown)
 		if ratio > maxSlowdown {
 			return fmt.Errorf("p99 regression: %.2fx over baseline (limit %.2fx)", ratio, maxSlowdown)
@@ -425,7 +334,7 @@ func gate(res *Result, baselinePath string, maxSlowdown, hitRateSlack float64) e
 	}
 	if base.FunctionsPerSecond > 0 {
 		ratio := base.FunctionsPerSecond / res.FunctionsPerSecond
-		fmt.Fprintf(os.Stderr, "rolag-loadgen: %.0f functions/sec vs baseline %.0f (ratio %.2fx, limit %.2fx)\n",
+		out.note("%.0f functions/sec vs baseline %.0f (ratio %.2fx, limit %.2fx)",
 			res.FunctionsPerSecond, base.FunctionsPerSecond, ratio, maxSlowdown)
 		if ratio > maxSlowdown {
 			return fmt.Errorf("throughput regression: %.2fx under baseline (limit %.2fx)", ratio, maxSlowdown)
@@ -437,7 +346,26 @@ func gate(res *Result, baselinePath string, maxSlowdown, hitRateSlack float64) e
 	return nil
 }
 
-func fatal(err error) {
-	fmt.Fprintf(os.Stderr, "rolag-loadgen: %v\n", err)
-	os.Exit(1)
+// writeRecord writes rec as indented JSON to path, or to stdout when
+// path is empty.
+func writeRecord(path string, rec any) error {
+	data, err := json.MarshalIndent(rec, "", "  ")
+	if err != nil {
+		return err
+	}
+	data = append(data, '\n')
+	if path == "" {
+		_, err = os.Stdout.Write(data)
+		return err
+	}
+	if dir := filepath.Dir(path); dir != "." {
+		if err := os.MkdirAll(dir, 0o755); err != nil {
+			return err
+		}
+	}
+	return os.WriteFile(path, data, 0o644)
+}
+
+func newLogger(level slog.Level) *slog.Logger {
+	return slog.New(slog.NewTextHandler(os.Stderr, &slog.HandlerOptions{Level: level}))
 }

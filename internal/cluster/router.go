@@ -731,9 +731,9 @@ func (rt *Router) traced(next http.Handler) http.Handler {
 		obs.EndSpan(tr, "router:"+r.URL.Path, span, r.Method)
 		switch r.URL.Path {
 		case "/v1/compile":
-			rt.compileHist.Observe(time.Since(start).Seconds())
+			rt.compileHist.Observe(time.Since(start))
 		case "/v1/batch":
-			rt.batchHist.Observe(time.Since(start).Seconds())
+			rt.batchHist.Observe(time.Since(start))
 		}
 
 		level := slog.LevelDebug

@@ -523,9 +523,9 @@ func (d *Daemon) traced(next http.Handler) http.Handler {
 		obs.EndSpan(tr, "http:"+r.URL.Path, span, r.Method)
 		switch r.URL.Path {
 		case "/v1/compile":
-			d.compileHist.Observe(time.Since(start).Seconds())
+			d.compileHist.Observe(time.Since(start))
 		case "/v1/batch":
-			d.batchHist.Observe(time.Since(start).Seconds())
+			d.batchHist.Observe(time.Since(start))
 		}
 
 		level := slog.LevelDebug

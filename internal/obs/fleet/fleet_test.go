@@ -13,10 +13,10 @@ func TestHistObserveAndQuantile(t *testing.T) {
 	var h Hist
 	// 90 fast (≈2ms) + 10 slow (≈200ms): p50 must be small, p99 large.
 	for i := 0; i < 90; i++ {
-		h.Observe(0.002)
+		h.Observe(2 * time.Millisecond)
 	}
 	for i := 0; i < 10; i++ {
-		h.Observe(0.200)
+		h.Observe(200 * time.Millisecond)
 	}
 	s := h.Snapshot()
 	if s.Count != 100 {
@@ -51,7 +51,7 @@ func TestHistQuantileEdges(t *testing.T) {
 		t.Errorf("empty Quantile = %v", q)
 	}
 	var h Hist
-	h.Observe(10_000) // beyond every bound → +Inf bucket
+	h.Observe(10_000 * time.Second) // beyond every bound → +Inf bucket
 	s := h.Snapshot()
 	last := LatencyBounds[len(LatencyBounds)-1]
 	if q := s.Quantile(0.99); q != last {
@@ -63,8 +63,8 @@ func TestHistQuantileEdges(t *testing.T) {
 func TestMergeSameBounds(t *testing.T) {
 	var a, b Hist
 	for i := 0; i < 50; i++ {
-		a.Observe(0.001)
-		b.Observe(0.3)
+		a.Observe(time.Millisecond)
+		b.Observe(300 * time.Millisecond)
 	}
 	m := a.Snapshot()
 	m.Merge(b.Snapshot())
@@ -107,7 +107,7 @@ func TestCollectorREDAndOverview(t *testing.T) {
 	mk := func(reqs, errs int64) ShardObservation {
 		var h Hist
 		for i := int64(0); i < reqs; i++ {
-			h.Observe(0.004)
+			h.Observe(4 * time.Millisecond)
 		}
 		return ShardObservation{
 			Requests: reqs, Errors: errs, Hits: reqs / 2, Misses: reqs / 2,

@@ -1,29 +1,35 @@
-// Package fleet is the cluster-wide telemetry plane: mergeable latency
-// histograms shards report and the router aggregates, a scrape
-// collector that turns per-shard counter snapshots into fleet-level
-// RED metrics (rate, errors, duration), and the trace-stitching
-// helpers that merge per-process Chrome trace segments into one
-// aligned timeline. It is deliberately stdlib-only and importable from
-// both sides of the wire (daemon and router) without cycles.
+// Package fleet is the cluster-wide telemetry plane and the home of
+// the one latency histogram type every live series uses: rolagd's
+// compile-latency histogram, the per-route request histograms shards
+// report and the router aggregates, and the RoLAG span-class
+// histograms are all a Hist. Around it sit a scrape collector that
+// turns per-shard counter snapshots into fleet-level RED metrics
+// (rate, errors, duration) and the trace-stitching helpers that merge
+// per-process Chrome trace segments into one aligned timeline. It is
+// deliberately stdlib-only and importable from both sides of the wire
+// (daemon and router) and from internal/obs without cycles.
 package fleet
 
 import (
 	"math"
 	"sort"
-	"sync"
+	"sync/atomic"
+	"time"
 )
 
-// LatencyBounds are the request-latency histogram bucket upper bounds
-// in seconds — the same bounds as rolagd's compile-latency histogram,
-// so per-route request histograms and engine compile histograms render
-// on the same axis.
+// LatencyBounds are the request- and compile-latency histogram bucket
+// upper bounds in seconds, so per-route request histograms and engine
+// compile histograms render on the same axis. A zero Hist uses them.
 var LatencyBounds = []float64{
 	0.0005, 0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1, 2.5, 5,
 }
 
-// Inf stands in for +Inf so snapshots stay JSON-encodable (matching
-// the sentinel the service package uses for its bucket bounds).
+// Inf stands in for +Inf so snapshots stay JSON-encodable.
 const Inf = 1e308
+
+// maxBuckets bounds a Hist's bounds table (plus its +Inf bucket), so
+// the counters can live in a fixed array and the zero Hist is usable.
+const maxBuckets = 16
 
 // Bucket is one cumulative histogram bucket, Prometheus-style.
 type Bucket struct {
@@ -33,44 +39,67 @@ type Bucket struct {
 	Count int64 `json:"count"`
 }
 
-// Hist is a live, concurrency-safe latency histogram over
-// LatencyBounds. The zero value is ready to use.
+// Hist is a live latency histogram over a fixed bounds table. Observe
+// takes no lock (two atomic adds), so it is safe on hot concurrent
+// paths. The zero value is ready to use over LatencyBounds.
 type Hist struct {
-	mu      sync.Mutex
-	count   int64
-	sumSec  float64
-	buckets [14]int64 // len(LatencyBounds) + 1 for +Inf; non-cumulative
+	bounds  []float64 // nil means LatencyBounds
+	nanos   atomic.Int64
+	buckets [maxBuckets]atomic.Int64 // non-cumulative; [len(bounds)] is +Inf
 }
 
-// Observe records one latency, in seconds.
-func (h *Hist) Observe(sec float64) {
-	idx := len(LatencyBounds)
-	for i, ub := range LatencyBounds {
+// NewHist returns an empty histogram over the given ascending bucket
+// upper bounds, in seconds (fewer than maxBuckets); an implicit +Inf
+// bucket follows the last.
+func NewHist(bounds []float64) *Hist { return &Hist{bounds: bounds} }
+
+func (h *Hist) table() []float64 {
+	if h.bounds == nil {
+		return LatencyBounds
+	}
+	return h.bounds
+}
+
+// Observe records one latency.
+func (h *Hist) Observe(d time.Duration) {
+	bounds := h.table()
+	sec := float64(d) / 1e9
+	idx := len(bounds)
+	for i, ub := range bounds {
 		if sec <= ub {
 			idx = i
 			break
 		}
 	}
-	h.mu.Lock()
-	h.count++
-	h.sumSec += sec
-	h.buckets[idx]++
-	h.mu.Unlock()
+	h.buckets[idx].Add(1)
+	h.nanos.Add(int64(d))
 }
 
-// Snapshot returns a point-in-time copy with cumulative buckets.
-func (h *Hist) Snapshot() HistSnapshot {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	s := HistSnapshot{Count: h.count, SumSeconds: h.sumSec}
-	var cum int64
+// Sum returns the total of every observed latency.
+func (h *Hist) Sum() time.Duration { return time.Duration(h.nanos.Load()) }
+
+// Reset zeroes the histogram. Observations racing with it may survive.
+func (h *Hist) Reset() {
+	h.nanos.Store(0)
 	for i := range h.buckets {
-		cum += h.buckets[i]
+		h.buckets[i].Store(0)
+	}
+}
+
+// Snapshot returns a point-in-time copy with cumulative buckets. Count
+// is the +Inf bucket, so the two agree even under concurrent Observe;
+// the sum is loaded apart from them and may miss observations in
+// flight.
+func (h *Hist) Snapshot() HistSnapshot {
+	bounds := h.table()
+	s := HistSnapshot{SumSeconds: float64(h.nanos.Load()) / 1e9, Buckets: make([]Bucket, 0, len(bounds)+1)}
+	for i := 0; i <= len(bounds); i++ {
+		s.Count += h.buckets[i].Load()
 		le := Inf
-		if i < len(LatencyBounds) {
-			le = LatencyBounds[i]
+		if i < len(bounds) {
+			le = bounds[i]
 		}
-		s.Buckets = append(s.Buckets, Bucket{LE: le, Count: cum})
+		s.Buckets = append(s.Buckets, Bucket{LE: le, Count: s.Count})
 	}
 	return s
 }

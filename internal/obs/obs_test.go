@@ -81,9 +81,9 @@ func TestSpanStatsAccumulate(t *testing.T) {
 		t.Errorf("Nanos = %d, want >= 5ms", got.Nanos)
 	}
 	// 5ms cannot land in any bucket bounded below 10ms.
-	for i, b := range got.Buckets {
-		if SpanBounds[i] < 5e-3 && b != 0 {
-			t.Errorf("bucket %d (<= %gs) = %d, want 0", i, SpanBounds[i], b)
+	for i, b := range got.Hist.Buckets {
+		if b.LE < 5e-3 && b.Count != 0 {
+			t.Errorf("bucket %d (<= %gs) = %d, want 0", i, b.LE, b.Count)
 		}
 	}
 	ResetSpanStats()

@@ -4,15 +4,13 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"rolag/internal/obs/fleet"
 )
 
 // SpanBounds are the span-duration histogram bucket upper bounds, in
 // seconds. An implicit +Inf bucket (== Count) follows the last bound.
 var SpanBounds = []float64{100e-9, 1e-6, 10e-6, 100e-6, 1e-3, 10e-3, 100e-3, 1}
-
-const numSpanBuckets = 8
-
-var spanBoundNanos = [numSpanBuckets]int64{100, 1_000, 10_000, 100_000, 1_000_000, 10_000_000, 100_000_000, 1_000_000_000}
 
 // maxSpanClasses bounds the registry; classes are registered at
 // package-init time (the four RoLAG phases today) and never removed.
@@ -26,19 +24,20 @@ const maxSpanClasses = 32
 // event when tracing is on.
 type SpanClass int
 
-type spanCounters struct {
-	count   atomic.Uint64
-	nanos   atomic.Uint64
-	buckets [numSpanBuckets]atomic.Uint64
-}
-
 var (
 	classMu    sync.Mutex
 	classCount atomic.Int32
 	// classNames holds a copy-on-write snapshot of the registered names
 	// so End can read it without taking classMu.
 	classNames atomic.Value // []string
-	classTimes [maxSpanClasses]spanCounters
+	// classTimes holds one histogram per possible class, built up front
+	// so End never allocates or locks.
+	classTimes = func() (hs [maxSpanClasses]*fleet.Hist) {
+		for i := range hs {
+			hs[i] = fleet.NewHist(SpanBounds)
+		}
+		return hs
+	}()
 )
 
 // RegisterSpanClass registers a named span class and returns its
@@ -83,12 +82,7 @@ func SpanStatsEnabled() bool { return gates.Load()&gateStats != 0 }
 func ResetSpanStats() {
 	n := int(classCount.Load())
 	for i := 0; i < n; i++ {
-		c := &classTimes[i]
-		c.count.Store(0)
-		c.nanos.Store(0)
-		for j := range c.buckets {
-			c.buckets[j].Store(0)
-		}
+		classTimes[i].Reset()
 	}
 }
 
@@ -97,9 +91,8 @@ type SpanStat struct {
 	Name  string
 	Count uint64
 	Nanos uint64
-	// Buckets holds non-cumulative histogram counts per SpanBounds
-	// entry; durations above the last bound count only toward Count.
-	Buckets [numSpanBuckets]uint64
+	// Hist is the class's duration histogram over SpanBounds.
+	Hist fleet.HistSnapshot
 }
 
 // SpanStats returns a snapshot of every registered class's histogram,
@@ -108,13 +101,8 @@ func SpanStats() []SpanStat {
 	names, _ := classNames.Load().([]string)
 	out := make([]SpanStat, len(names))
 	for i, name := range names {
-		c := &classTimes[i]
-		out[i].Name = name
-		out[i].Count = c.count.Load()
-		out[i].Nanos = c.nanos.Load()
-		for j := range c.buckets {
-			out[i].Buckets[j] = c.buckets[j].Load()
-		}
+		h := classTimes[i].Snapshot()
+		out[i] = SpanStat{Name: name, Count: uint64(h.Count), Nanos: uint64(classTimes[i].Sum()), Hist: h}
 	}
 	return out
 }
@@ -133,16 +121,7 @@ func (c SpanClass) End(tr TraceContext, start time.Time) {
 	}
 	d := time.Since(start)
 	if g&gateStats != 0 {
-		ns := d.Nanoseconds()
-		ct := &classTimes[c]
-		ct.count.Add(1)
-		ct.nanos.Add(uint64(ns))
-		for i, bound := range spanBoundNanos {
-			if ns <= bound {
-				ct.buckets[i].Add(1)
-				break
-			}
-		}
+		classTimes[c].Observe(d)
 	}
 	if g&gateTrace != 0 && tr.Active() {
 		tr.resolveRing().add(TraceEvent{Name: c.Name(), Trace: tr.ID, TID: tr.tid, Start: start, Dur: d, Parent: tr.parent})

@@ -533,7 +533,7 @@ func (e *Engine) runJob(j *job) (res jobResult) {
 	if err != nil {
 		return jobResult{err: err}
 	}
-	e.metrics.observeCompile(time.Since(start))
+	e.metrics.latency.Observe(time.Since(start))
 	e.metrics.compiles.Add(1)
 	if out.Stats != nil {
 		e.metrics.loopsRolled.Add(int64(out.Stats.LoopsRolled))

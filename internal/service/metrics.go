@@ -6,17 +6,11 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"rolag/internal/fuzzgen"
 	"rolag/internal/obs"
+	"rolag/internal/obs/fleet"
 )
-
-// latencyBounds are the upper bounds (seconds) of the compile-latency
-// histogram buckets; a final implicit +Inf bucket catches the rest.
-var latencyBounds = [...]float64{
-	0.0005, 0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1, 2.5, 5,
-}
 
 // metrics is the engine's hot-path instrumentation: plain atomics, no
 // locks, safe to bump from every worker concurrently.
@@ -44,9 +38,8 @@ type metrics struct {
 	snapshotEntries  atomic.Int64
 	snapshotWarmHits atomic.Int64
 
-	latencyBuckets [len(latencyBounds) + 1]atomic.Int64
-	latencyCount   atomic.Int64
-	latencyNanos   atomic.Int64
+	// latency is the compile-latency histogram over fleet.LatencyBounds.
+	latency fleet.Hist
 
 	// skipMu guards passSkipped; the per-pass breakdown is off the hot
 	// path (bumped only when a pass actually degrades).
@@ -99,29 +92,6 @@ func (m *metrics) skipPass(pass string) {
 	m.skipMu.Unlock()
 }
 
-func (m *metrics) observeCompile(d time.Duration) {
-	sec := d.Seconds()
-	idx := len(latencyBounds)
-	for i, ub := range latencyBounds {
-		if sec <= ub {
-			idx = i
-			break
-		}
-	}
-	m.latencyBuckets[idx].Add(1)
-	m.latencyCount.Add(1)
-	m.latencyNanos.Add(int64(d))
-}
-
-// Bucket is one cumulative histogram bucket in a MetricsSnapshot.
-type Bucket struct {
-	// LE is the bucket's inclusive upper bound in seconds; the last
-	// bucket's bound is +Inf and serialized as such.
-	LE float64 `json:"le"`
-	// Count is cumulative, Prometheus-style.
-	Count int64 `json:"count"`
-}
-
 // MetricsSnapshot is a consistent-enough point-in-time copy of the
 // engine counters, suitable for JSON or Prometheus text rendering.
 type MetricsSnapshot struct {
@@ -165,9 +135,9 @@ type MetricsSnapshot struct {
 	BreakerOpens int64            `json:"breaker_opens"`
 	Breakers     []BreakerInfo    `json:"breakers,omitempty"`
 
-	LatencyCount      int64    `json:"latency_count"`
-	LatencySumSeconds float64  `json:"latency_sum_seconds"`
-	LatencyBuckets    []Bucket `json:"latency_buckets"`
+	LatencyCount      int64          `json:"latency_count"`
+	LatencySumSeconds float64        `json:"latency_sum_seconds"`
+	LatencyBuckets    []fleet.Bucket `json:"latency_buckets"`
 
 	// Phases mirrors the process-wide RoLAG per-phase span histograms
 	// (obs.SpanStats) — the exact histograms cmd/rolag-bench reads, so
@@ -186,16 +156,13 @@ type MetricsSnapshot struct {
 	Fuzz fuzzgen.Counters `json:"fuzz"`
 }
 
-// PhaseStat is the accumulated timing of one RoLAG pipeline phase.
+// PhaseStat is the accumulated timing of one RoLAG pipeline phase: how
+// many times it ran, its total wall-clock, and its cumulative duration
+// histogram over obs.SpanBounds (last bucket +Inf).
 type PhaseStat struct {
 	// Phase is the metric label: seed, align, schedule, or codegen.
 	Phase string `json:"phase"`
-	// Count is how many times the phase executed.
-	Count int64 `json:"count"`
-	// SumSeconds is the total wall-clock spent in the phase.
-	SumSeconds float64 `json:"sum_seconds"`
-	// Buckets is the cumulative latency histogram (last bucket +Inf).
-	Buckets []Bucket `json:"buckets"`
+	fleet.HistSnapshot
 }
 
 // RemarkCount is one rolagd_remarks_total series: how many remarks a
@@ -205,33 +172,6 @@ type RemarkCount struct {
 	Pass   string `json:"pass"`
 	Reason string `json:"reason"`
 	Count  int64  `json:"count"`
-}
-
-// phaseStats converts an obs.SpanStats snapshot into cumulative
-// Prometheus-style histogram stats, or nil when stats are disabled.
-func phaseStats() []PhaseStat {
-	if !obs.SpanStatsEnabled() {
-		return nil
-	}
-	stats := obs.SpanStats()
-	out := make([]PhaseStat, 0, len(stats))
-	for _, t := range stats {
-		st := PhaseStat{
-			Phase:      t.Name,
-			Count:      int64(t.Count),
-			SumSeconds: float64(t.Nanos) / 1e9,
-		}
-		var cum int64
-		for i, ub := range obs.SpanBounds {
-			cum += int64(t.Buckets[i])
-			st.Buckets = append(st.Buckets, Bucket{LE: ub, Count: cum})
-		}
-		// Durations above the last bound count only toward Count, so the
-		// +Inf bucket is the total.
-		st.Buckets = append(st.Buckets, Bucket{LE: inf, Count: st.Count})
-		out = append(out, st)
-	}
-	return out
 }
 
 // HitRate returns the fraction of requests served from the cache or a
@@ -244,6 +184,7 @@ func (s *MetricsSnapshot) HitRate() float64 {
 }
 
 func (m *metrics) snapshot() MetricsSnapshot {
+	lat := m.latency.Snapshot()
 	s := MetricsSnapshot{
 		Requests:          m.requests.Load(),
 		CacheHits:         m.cacheHits.Load(),
@@ -265,10 +206,15 @@ func (m *metrics) snapshot() MetricsSnapshot {
 		SnapshotWarmHits:  m.snapshotWarmHits.Load(),
 		Degraded:          m.degraded.Load(),
 		Shed:              m.shed.Load(),
-		LatencyCount:      m.latencyCount.Load(),
-		LatencySumSeconds: float64(m.latencyNanos.Load()) / 1e9,
-		Phases:            phaseStats(),
+		LatencyCount:      lat.Count,
+		LatencySumSeconds: lat.SumSeconds,
+		LatencyBuckets:    lat.Buckets,
 		Fuzz:              fuzzgen.Snapshot(),
+	}
+	if obs.SpanStatsEnabled() {
+		for _, st := range obs.SpanStats() {
+			s.Phases = append(s.Phases, PhaseStat{Phase: st.Name, HistSnapshot: st.Hist})
+		}
 	}
 	m.skipMu.Lock()
 	if len(m.passSkipped) > 0 {
@@ -289,20 +235,8 @@ func (m *metrics) snapshot() MetricsSnapshot {
 		}
 		return s.Remarks[i].Reason < s.Remarks[j].Reason
 	})
-	var cum int64
-	for i := range m.latencyBuckets {
-		cum += m.latencyBuckets[i].Load()
-		le := inf
-		if i < len(latencyBounds) {
-			le = latencyBounds[i]
-		}
-		s.LatencyBuckets = append(s.LatencyBuckets, Bucket{LE: le, Count: cum})
-	}
 	return s
 }
-
-// inf stands in for +Inf so the snapshot stays JSON-encodable.
-const inf = 1e308
 
 // WritePrometheus renders the snapshot in the Prometheus text exposition
 // format (counters, one gauge, and the compile-latency histogram).
@@ -391,27 +325,31 @@ func (s *MetricsSnapshot) WritePrometheus(w io.Writer) {
 		fmt.Fprintf(w, "# HELP rolagd_phase_seconds Wall-clock of RoLAG pipeline phases.\n")
 		fmt.Fprintf(w, "# TYPE rolagd_phase_seconds histogram\n")
 		for _, ph := range s.Phases {
-			for _, b := range ph.Buckets {
-				if b.LE >= inf {
-					fmt.Fprintf(w, "rolagd_phase_seconds_bucket{phase=%q,le=\"+Inf\"} %d\n", ph.Phase, b.Count)
-				} else {
-					fmt.Fprintf(w, "rolagd_phase_seconds_bucket{phase=%q,le=\"%g\"} %d\n", ph.Phase, b.LE, b.Count)
-				}
-			}
-			fmt.Fprintf(w, "rolagd_phase_seconds_sum{phase=%q} %g\n", ph.Phase, ph.SumSeconds)
-			fmt.Fprintf(w, "rolagd_phase_seconds_count{phase=%q} %d\n", ph.Phase, ph.Count)
+			writeHistogram(w, "rolagd_phase_seconds", fmt.Sprintf("phase=%q", ph.Phase), ph.HistSnapshot)
 		}
 	}
 
 	fmt.Fprintf(w, "# HELP rolagd_compile_seconds Latency of fresh compilations.\n")
 	fmt.Fprintf(w, "# TYPE rolagd_compile_seconds histogram\n")
-	for _, b := range s.LatencyBuckets {
-		if b.LE >= inf {
-			fmt.Fprintf(w, "rolagd_compile_seconds_bucket{le=\"+Inf\"} %d\n", b.Count)
-		} else {
-			fmt.Fprintf(w, "rolagd_compile_seconds_bucket{le=\"%g\"} %d\n", b.LE, b.Count)
-		}
+	writeHistogram(w, "rolagd_compile_seconds", "", fleet.HistSnapshot{
+		Count: s.LatencyCount, SumSeconds: s.LatencySumSeconds, Buckets: s.LatencyBuckets,
+	})
+}
+
+// writeHistogram renders one histogram series' _bucket, _sum and
+// _count lines; labels ("k=\"v\"" pairs, possibly empty) precede le.
+func writeHistogram(w io.Writer, name, labels string, h fleet.HistSnapshot) {
+	sep, braced := "", ""
+	if labels != "" {
+		sep, braced = ",", "{"+labels+"}"
 	}
-	fmt.Fprintf(w, "rolagd_compile_seconds_sum %g\n", s.LatencySumSeconds)
-	fmt.Fprintf(w, "rolagd_compile_seconds_count %d\n", s.LatencyCount)
+	for _, b := range h.Buckets {
+		le := "+Inf"
+		if b.LE < fleet.Inf {
+			le = fmt.Sprintf("%g", b.LE)
+		}
+		fmt.Fprintf(w, "%s_bucket{%s%sle=%q} %d\n", name, labels, sep, le, b.Count)
+	}
+	fmt.Fprintf(w, "%s_sum%s %g\n", name, braced, h.SumSeconds)
+	fmt.Fprintf(w, "%s_count%s %d\n", name, braced, h.Count)
 }
