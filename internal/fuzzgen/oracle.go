@@ -20,8 +20,9 @@ const (
 	// ClassCompile: the frontend rejected the program (only reported
 	// when the oracle requires compilation, i.e. for generated inputs).
 	ClassCompile = "compile"
-	// ClassVerify: the IR verifier rejected a module mid-pipeline, or a
-	// transformation itself returned an error.
+	// ClassVerify: the IR verifier rejected a module mid-pipeline, a
+	// transformation itself returned an error, or a pass that reported
+	// no change changed the function.
 	ClassVerify = "verify"
 	// ClassEquiv: a transformed module behaves differently from the
 	// original under the interpreter — a miscompile.
@@ -309,21 +310,25 @@ func checkRemarks(res *rolag.Result) *Failure {
 }
 
 // runPipelineVerified applies the standard pipeline pass by pass,
-// verifying the module after each one.
+// verifying the module after each one and holding each pass to its
+// change report: the fail-soft sandbox commits an execution that
+// reported no change without verifying or adopting it, so a pass that
+// returns false must leave the printed function as it found it.
 func runPipelineVerified(m *ir.Module, stage string) *Failure {
 	for i, p := range passes.Standard().Passes {
+		variant := fmt.Sprintf("%s/%s#%d", stage, p.Name, i)
 		for _, fn := range m.Funcs {
 			if fn.IsDecl() {
 				continue
 			}
-			p.Run(fn)
+			before := fn.String()
+			if !p.Run(fn) && fn.String() != before {
+				return &Failure{Class: ClassVerify, Variant: variant,
+					Detail: fmt.Sprintf("@%s: pass reported no change but changed the function", fn.Name)}
+			}
 		}
 		if err := m.Verify(); err != nil {
-			return &Failure{
-				Class:   ClassVerify,
-				Variant: fmt.Sprintf("%s/%s#%d", stage, p.Name, i),
-				Detail:  err.Error(),
-			}
+			return &Failure{Class: ClassVerify, Variant: variant, Detail: err.Error()}
 		}
 	}
 	return nil

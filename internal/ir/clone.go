@@ -131,8 +131,13 @@ func (f *Func) AdoptBody(sh *Func) {
 	for _, b := range f.Blocks {
 		b.Parent = f
 	}
-	f.nameCounter = sh.nameCounter
+	f.AdoptNames(sh)
 }
+
+// AdoptNames commits only a shadow's name-counter state into f, for a
+// shadow execution that changed nothing but may have drawn fresh names:
+// the next name f generates is then the one in-place execution would.
+func (f *Func) AdoptNames(sh *Func) { f.nameCounter = sh.nameCounter }
 
 // CloneModule returns a deep copy of m. Globals and named struct types
 // are copied; function bodies are cloned with all internal references

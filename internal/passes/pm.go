@@ -6,7 +6,10 @@ import (
 )
 
 // FuncPass transforms one function and reports whether it changed
-// anything.
+// anything. The report must be honest: a pass that returns false must
+// leave the function exactly as it found it (fresh names it drew aside),
+// because the fail-soft sandbox commits such an execution without
+// verifying or adopting its shadow (see Sandbox.RunShadow).
 type FuncPass struct {
 	Name string
 	Run  func(*ir.Func) bool
@@ -14,9 +17,9 @@ type FuncPass struct {
 	// analysis cache: the pass may read cached analyses from the
 	// FuncInfo and must report whether it changed the function (the
 	// pipeline invalidates the cache on change). Passes running under
-	// the fail-soft sandbox always use Run — the sandbox rewrites
-	// instruction pointers every pass, so cached analyses cannot
-	// survive it.
+	// the fail-soft sandbox always use Run — the sandbox runs passes on
+	// copies with their own instruction pointers, so cached analyses
+	// cannot survive it.
 	RunInfo func(*ir.Func, *analysis.FuncInfo) bool
 }
 

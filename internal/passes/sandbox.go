@@ -110,6 +110,13 @@ const DefaultPassBudget = 10 * time.Second
 // and the pipeline continues from the checkpoint with the pass skipped,
 // recorded in the Report.
 //
+// A shadow execution whose pass reports no change commits nothing: the
+// function keeps its (already verified) body, and the untouched shadow
+// is kept as the spare copy for the next shadow execution on the same
+// function, so a run of no-op passes clones and verifies nothing. A
+// function must therefore change only through its sandbox between
+// executions.
+//
 // A Sandbox is not safe for concurrent use; the service engine creates
 // one per compilation job.
 type Sandbox struct {
@@ -124,6 +131,10 @@ type Sandbox struct {
 	Trace obs.TraceContext
 
 	report Degraded
+	// spare is a shadow still identical to spareOf, left by the last
+	// shadow execution that reported no change. Any other outcome, an
+	// in-place run, or a run on another function drops it.
+	spare, spareOf *ir.Func
 }
 
 func (s *Sandbox) budget() time.Duration {
@@ -160,16 +171,27 @@ func (s *Sandbox) Absorb(other *Sandbox) {
 // closure state may be read), changed is the pass's own report. On a
 // timeout the helper goroutine is abandoned; it keeps mutating only the
 // private shadow and exits when the pass returns.
+//
+// run must be honest about changes: when it returns false it must have
+// left the function as it found it (names it drew from the function's
+// name counter aside). Such an execution is committed without the
+// verifier, f keeps its body and takes only the shadow's name counter,
+// and the shadow becomes the spare the next execution on f starts from.
+// f must therefore be verifier-clean on entry, which every pipeline
+// entry point guarantees (frontend output and parsed IR are verified).
 func (s *Sandbox) RunShadow(pass string, f *ir.Func, run func(*ir.Func) bool) (changed, ok bool) {
 	if f.IsDecl() {
 		return false, true
 	}
+	shadow := s.takeSpare(f)
 	if !s.allow(pass, f) {
 		return false, false
 	}
 	span := obs.Now()
 	defer obs.EndSpan(s.Trace, "pass:"+pass, span, f.Name)
-	shadow := ir.ShadowFunc(f)
+	if shadow == nil {
+		shadow = ir.ShadowFunc(f)
+	}
 	type result struct {
 		changed bool
 		skip    *Skip
@@ -187,6 +209,12 @@ func (s *Sandbox) RunShadow(pass string, f *ir.Func, run func(*ir.Func) bool) (c
 		if r.skip != nil {
 			s.fail(pass, *r.skip)
 			return false, false
+		}
+		if !r.changed {
+			s.ok(pass)
+			f.AdoptNames(shadow)
+			s.spare, s.spareOf = shadow, f
+			return false, true
 		}
 		if err := shadow.Verify(); err != nil {
 			s.fail(pass, Skip{Pass: pass, Func: f.Name, Reason: SkipVerify, Detail: err.Error()})
@@ -224,12 +252,15 @@ func (s *Sandbox) RunInPlaceIn(pass string, f *ir.Func, sink *ir.Module, run fun
 	if f.IsDecl() {
 		return false, true
 	}
+	snapshot := s.takeSpare(f)
 	if !s.allow(pass, f) {
 		return false, false
 	}
 	span := obs.Now()
 	defer obs.EndSpan(s.Trace, "pass:"+pass, span, f.Name)
-	snapshot := ir.ShadowFunc(f)
+	if snapshot == nil {
+		snapshot = ir.ShadowFunc(f)
+	}
 	gmark := sink.MarkGlobals()
 	start := time.Now()
 	changed, skip := s.exec(pass, f, run)
@@ -256,6 +287,19 @@ func (s *Sandbox) RunInPlaceIn(pass string, f *ir.Func, sink *ir.Module, run fun
 	return changed, true
 }
 
+// takeSpare hands out the spare if it was taken from f, and drops it
+// either way: a copy given to an execution is never handed out again
+// unless that execution returns it, so an abandoned goroutine's shadow
+// is never reused.
+func (s *Sandbox) takeSpare(f *ir.Func) *ir.Func {
+	sh, of := s.spare, s.spareOf
+	s.spare, s.spareOf = nil, nil
+	if of != f {
+		return nil
+	}
+	return sh
+}
+
 // exec runs the pass body with panic recovery and the pass-site fault
 // point. target is the function the pass actually mutates (the shadow
 // in RunShadow, f itself in RunInPlace).
@@ -273,9 +317,11 @@ func (s *Sandbox) exec(pass string, target *ir.Func, run func(*ir.Func) bool) (c
 	case faultpoint.KindError:
 		return false, &Skip{Pass: pass, Func: target.Name, Reason: SkipError, Detail: "injected pass error"}
 	case faultpoint.KindCorrupt:
-		changed = run(target)
+		// The body was damaged whatever the pass did: report a change
+		// so the commit gate verifies it.
+		run(target)
 		corruptBody(target)
-		return changed, nil
+		return true, nil
 	}
 	// KindStall already slept inside Fire; the pass still runs so an
 	// absorbed stall (shorter than the budget) degrades nothing.

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"rolag/internal/faultpoint"
 	"rolag/internal/ir"
 	"rolag/internal/passes"
 )
@@ -203,5 +204,189 @@ func TestDegradedPassesSortedDistinct(t *testing.T) {
 	got := d.Passes()
 	if len(got) != 2 || got[0] != "licm" || got[1] != "rolag" {
 		t.Fatalf("Passes() = %v, want [licm rolag]", got)
+	}
+}
+
+// probe is a no-op pass that records the shadow it ran on and how that
+// shadow printed.
+type probe struct {
+	fn   *ir.Func
+	text string
+}
+
+func (p *probe) run(sf *ir.Func) bool {
+	p.fn, p.text = sf, sf.String()
+	return false
+}
+
+// breakBody drops the entry block's terminator, a mutation that both
+// changes the printed function and fails the verifier.
+func breakBody(sf *ir.Func) {
+	b := sf.Blocks[0]
+	b.Instrs = b.Instrs[:len(b.Instrs)-1]
+}
+
+func TestSandboxNoopReusesShadow(t *testing.T) {
+	_, f := lowerF(t)
+	before := f.String()
+	sb := &passes.Sandbox{}
+	var p1, p2 probe
+	if changed, ok := sb.RunShadow("a", f, p1.run); changed || !ok {
+		t.Fatalf("no-op pass: changed=%v ok=%v", changed, ok)
+	}
+	if got := f.String(); got != before {
+		t.Fatalf("no-op pass altered the function:\n%s", got)
+	}
+	sb.RunShadow("b", f, p2.run)
+	if p2.fn != p1.fn {
+		t.Fatal("the shadow of a no-op pass was not reused")
+	}
+	if p2.text != before {
+		t.Fatalf("reused shadow differs from the function:\n%s", p2.text)
+	}
+}
+
+const twoFuncSrc = sandboxSrc + `
+int g(int a) { return a * 2 + 1; }`
+
+// TestSandboxSpareDropped checks that every outcome other than a no-op
+// shadow execution drops the spare: the execution after it starts from
+// a fresh copy of the committed body, never from a shadow a pass may
+// have damaged (or, after a timeout, may still be damaging).
+func TestSandboxSpareDropped(t *testing.T) {
+	cases := []struct {
+		name  string
+		spoil func(t *testing.T, sb *passes.Sandbox, m *ir.Module, f *ir.Func)
+	}{
+		{"commit", func(t *testing.T, sb *passes.Sandbox, m *ir.Module, f *ir.Func) {
+			if changed, ok := sb.RunShadow("mem2reg", f, passes.Mem2Reg); !changed || !ok {
+				t.Fatalf("mem2reg: changed=%v ok=%v", changed, ok)
+			}
+		}},
+		{"panic", func(t *testing.T, sb *passes.Sandbox, m *ir.Module, f *ir.Func) {
+			sb.RunShadow("boom", f, func(sf *ir.Func) bool {
+				breakBody(sf)
+				panic("kaboom")
+			})
+		}},
+		{"timeout", func(t *testing.T, sb *passes.Sandbox, m *ir.Module, f *ir.Func) {
+			sb.Budget = 20 * time.Millisecond
+			defer func() { sb.Budget = 0 }()
+			release, mutated := make(chan struct{}), make(chan struct{})
+			sb.RunShadow("slow", f, func(sf *ir.Func) bool {
+				<-release
+				breakBody(sf)
+				close(mutated)
+				return false
+			})
+			close(release)
+			<-mutated
+		}},
+		{"verify", func(t *testing.T, sb *passes.Sandbox, m *ir.Module, f *ir.Func) {
+			sb.RunShadow("corrupter", f, func(sf *ir.Func) bool {
+				breakBody(sf)
+				return true
+			})
+		}},
+		{"veto", func(t *testing.T, sb *passes.Sandbox, m *ir.Module, f *ir.Func) {
+			sb.Guard = &vetoGuard{veto: "licm"}
+			defer func() { sb.Guard = nil }()
+			sb.RunShadow("licm", f, func(*ir.Func) bool { return false })
+		}},
+		{"in-place", func(t *testing.T, sb *passes.Sandbox, m *ir.Module, f *ir.Func) {
+			before := f.String()
+			sb.RunInPlaceIn("rolag", f, m, func(tf *ir.Func) bool {
+				breakBody(tf)
+				panic("codegen died")
+			})
+			if got := f.String(); got != before {
+				t.Fatalf("in-place rollback did not restore the body:\n%s", got)
+			}
+		}},
+		{"other function", func(t *testing.T, sb *passes.Sandbox, m *ir.Module, f *ir.Func) {
+			g := m.FindFunc("g")
+			var q probe
+			sb.RunShadow("probe", g, q.run)
+			if q.text != g.String() {
+				t.Fatalf("g ran on a copy of another function:\n%s", q.text)
+			}
+		}},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			m := lower(t, twoFuncSrc)
+			f := m.FindFunc("f")
+			sb := &passes.Sandbox{}
+			var p1, p2 probe
+			sb.RunShadow("probe", f, p1.run)
+			c.spoil(t, sb, m, f)
+			sb.RunShadow("probe", f, p2.run)
+			if p2.fn == p1.fn {
+				t.Fatal("the spare survived")
+			}
+			if want := f.String(); p2.text != want {
+				t.Fatalf("next execution did not start from the committed body:\ngot:\n%s\nwant:\n%s", p2.text, want)
+			}
+			if err := m.Verify(); err != nil {
+				t.Fatalf("committed module broken: %v", err)
+			}
+		})
+	}
+}
+
+// TestSandboxNoopKeepsNameCounter: names a no-op pass drew from the
+// function's counter stay drawn, so the next fresh name is the one the
+// fail-hard path (which runs the same pass in place) would produce.
+func TestSandboxNoopKeepsNameCounter(t *testing.T) {
+	_, f := lowerF(t)
+	_, direct := lowerF(t)
+	draw := func(sf *ir.Func) bool {
+		sf.UniqueName("n") // %n is taken: advances the counter
+		return false
+	}
+	sb := &passes.Sandbox{}
+	sb.RunShadow("draw", f, draw)
+	draw(direct)
+	var got string
+	sb.RunShadow("name", f, func(sf *ir.Func) bool {
+		got = sf.UniqueName("n")
+		return false
+	})
+	if want := direct.UniqueName("n"); got != want {
+		t.Fatalf("next fresh name %q, fail-hard path gives %q", got, want)
+	}
+	if got, want := f.UniqueName("n"), direct.UniqueName("n"); got != want {
+		t.Fatalf("committed function's next fresh name %q, fail-hard path gives %q", got, want)
+	}
+}
+
+// TestSandboxCorruptFaultVerified: an injected corruption is a change
+// even when the pass itself changed nothing, so the commit gate
+// verifies and rejects it instead of keeping the damaged shadow.
+func TestSandboxCorruptFaultVerified(t *testing.T) {
+	t.Cleanup(faultpoint.Reset)
+	m := lower(t, twoFuncSrc)
+	f := m.FindFunc("g") // straight-line: LICM has nothing to do
+	if passes.LICM(ir.ShadowFunc(f)) {
+		t.Fatal("precondition: LICM changed @g")
+	}
+	before := f.String()
+	sb := &passes.Sandbox{}
+	faultpoint.Arm("pass:licm", faultpoint.KindCorrupt, 1)
+	if _, ok := sb.RunShadow("licm", f, passes.LICM); ok {
+		t.Fatal("corrupted execution committed")
+	}
+	rep := sb.Report()
+	if rep == nil || len(rep.Skips) != 1 || rep.Skips[0].Reason != passes.SkipVerify {
+		t.Fatalf("want one verify skip, got %v", rep)
+	}
+	if got := f.String(); got != before {
+		t.Fatalf("function changed by a rejected execution:\n%s", got)
+	}
+	if changed, ok := sb.RunShadow("mem2reg", f, passes.Mem2Reg); !changed || !ok {
+		t.Fatalf("next pass did not commit: changed=%v ok=%v", changed, ok)
+	}
+	if err := f.Verify(); err != nil {
+		t.Fatalf("committed function broken: %v", err)
 	}
 }
